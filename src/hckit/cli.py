@@ -204,8 +204,9 @@ def _cmd_witness(args, argv) -> int:
         _emit(args, dump_envelope(env))
         return EXIT_BREAKDOWN
     verified = witness.verify_certificate(fmap, cone, w, cert, cfg.cert_tol, cfg)
-    _log.debug("witness branch=%s swapped=%s rescue=%s", cert.branch.value,
-               cert.trace.swapped, cert.trace.rescue_used)
+    _log.debug("witness branch=%s image=%s crossing=%s tau=%.17g",
+               cert.branch.value, cert.trace.image_kind,
+               cert.trace.ray_direction or "-", cert.trace.ray_t)
     env = result_envelope(argv, problem.digest,
                           {"x_star": cert.x_star, "e_star": cert.e_star,
                            "branch": cert.branch.value, "w": w,

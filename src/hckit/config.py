@@ -35,7 +35,6 @@ class ToleranceConfig:
     # witness construction
     cert_tol: float = 1e-6             # certificate residual, relative
     eq_tol: float = 1e-9               # "w coincides with an endpoint" trigger
-    rescue_factor: float = 100.0       # widened membership retest before failing
 
     def with_overrides(self, **kwargs: float) -> "ToleranceConfig":
         """Return a copy with the given fields replaced."""

@@ -88,14 +88,20 @@ def _parse_matrix_rows(raw, n_cols: int, field: str) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), n_cols)
 
 
+# tolerances that no code path reads any more; files naming them still parse
+RETIRED_TOLERANCES = frozenset({"rescue_factor"})
+
+
 def _parse_tolerances(raw, field: str) -> ToleranceConfig:
     if raw is None:
         return DEFAULT_TOLERANCES
     _require(isinstance(raw, dict), f"field '{field}' must be an object", field)
     known = {f.name for f in dataclasses.fields(ToleranceConfig)}
     for key in raw:
-        _require(key in known, f"unknown tolerance '{key}'", f"{field}.{key}")
-    return DEFAULT_TOLERANCES.with_overrides(**raw)
+        _require(key in known or key in RETIRED_TOLERANCES,
+                 f"unknown tolerance '{key}'", f"{field}.{key}")
+    return DEFAULT_TOLERANCES.with_overrides(
+        **{k: v for k, v in raw.items() if k in known})
 
 
 def parse_problem(text: str | bytes) -> Problem:

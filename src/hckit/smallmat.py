@@ -184,7 +184,7 @@ def min_norm_solution(matrix, rhs, tol: float | None = None,
     if lam_max <= 0.0:
         return np.zeros(n)
     cut = _gram_cut(lam_max, tol)
-    inv = np.where(lam > cut, np.divide(1.0, lam, where=lam > cut), 0.0)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)
 
     def apply_pinv(vec):
         coords = dec.eigenvectors.T @ (h.T @ vec)
@@ -237,7 +237,7 @@ def min_of_quadratic(matrix, linear, constant: float,
         idx = int(np.argmax(np.where(near_null, np.abs(coords), -np.inf)))
         d = -math.copysign(1.0, coords[idx]) * vecs[:, idx]
         return MinResult(bounded=False, direction=d)
-    inv = np.where(near_null, 0.0, np.divide(1.0, lam, where=~near_null))
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~near_null)
     minimizer = vecs @ (-0.5 * inv * coords)
     value = m0 - 0.25 * float(np.sum(inv * coords * coords))
     return MinResult(bounded=True, value=value, minimizer=minimizer)

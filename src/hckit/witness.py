@@ -1,39 +1,44 @@
 """Constructive convexity certificates for ``F(R^n) + cone``.
 
 Given two known members ``u = F(x_u) + e1`` and ``v = F(x_v) + e2`` of the
-set and a strict convex combination ``w``, this module produces an explicit
-pair ``(x*, e*)`` with ``F(x*) + e* = w`` and ``e*`` in the cone, together
-with a trace of every intermediate quantity.  The construction follows the
-geometry of the image of the line through ``x_u`` and ``x_v``:
+set and a strict convex combination ``w = alpha u + beta v``, this module
+produces an explicit pair ``(x*, e*)`` with ``F(x*) + e* = w`` and ``e*`` in
+the cone, together with a trace of the quantities that decided it.  The
+construction works on the image of the line ``x(t) = x_u + t (x_v - x_u)``,
+the pair of quadratic polynomials ``P(t) = F(x(t))``:
 
-* if ``w`` coincides with one of the endpoints' map values, that endpoint
-  certifies it directly;
-* if the image is a point, a ray, or a line, the mixed value
-  ``\bar w = alpha F(x_u) + (1-alpha) F(x_v)`` lies on the image (rays and
-  lines are convex), and ``w - \bar w`` is a cone element by construction;
-* if the image is a parabola ``psi = 0`` (normalized so the quadratic part
-  is PSD), either ``psi(w) >= 0`` and the segment from ``w`` toward the
-  curve's negative side crosses it (a closed-form quadratic root), or
-  ``psi(w) < 0`` and one of the two backward cone rays from ``w`` hits the
-  curve.
+* if ``w`` coincides with ``F(x_u)`` or ``F(x_v)``, that endpoint certifies
+  it directly;
+* otherwise the gap ``w - \bar w`` to ``\bar w = alpha F(x_u) + beta F(x_v)``
+  is ``lam b + gam c`` with ``(lam, gam) = alpha coords(e1) + beta coords(e2)``;
+* a ray or line image contains ``\bar w`` (both are convex), and a point
+  image is ``\bar w`` itself, so ``e* = lam b + gam c``;
+* on a parabola image with ``w`` strictly inside (``psi(w) < 0``), the
+  nearest crossing of the backward rays ``w - tau b`` and ``w - tau c``
+  gives ``e* = tau b`` or ``tau c``;
+* on a parabola image with ``psi(w) >= 0``, the staircase
+  ``w -> w - lam b -> \bar w`` ends inside the curve (``\bar w`` lies on a
+  chord), so its first crossing gives ``e* = tau b`` or ``lam b + tau c``.
 
-Every contract is verified numerically; a failed contract first retries
-endpoint membership with widened tolerance and only then raises
-:class:`NumericalBreakdown` carrying the full trace.
+Each crossing is a root of a scalar quadratic in ``t``, and ``e*`` is
+assembled from nonnegative cone coordinates, never by subtraction.  A
+certificate is returned only if it passes the predicate of
+:func:`verify_certificate` at ``cfg.cert_tol``; otherwise
+:class:`NumericalBreakdown` is raised with the trace attached.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone2d, conic2d, quadmap
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import (DegenerateLine, IdenticallyZero, LemmaViolated,
-                     NoRealRoot, NotOnImage, NumericalBreakdown,
-                     PreconditionViolated)
+from .errors import (DegenerateLine, NoRealRoot, NotOnImage,
+                     NumericalBreakdown, PreconditionViolated)
 from .quadmap import LineImageKind, QuadraticMap, eval_map
 
 
@@ -72,39 +77,19 @@ def cone_point(fmap: QuadraticMap, cone: cone2d.Cone2, x, e,
 
 @dataclass
 class WitnessTrace:
-    """Every intermediate scalar of the construction, for auditability."""
+    """The quantities that decided the construction, for auditability."""
 
     alpha: float = 0.0
     beta: float = 0.0
-    lam: float = 0.0
+    lam: float = 0.0            # cone coordinates of the gap w - w_bar
     gam: float = 0.0
-    swapped: bool = False
-    s: float = 0.0
-    t: float = 0.0
-    l: float = 0.0
-    mu1: float = 0.0
-    nu1: float = 0.0
-    mu2: float = 0.0
-    nu2: float = 0.0
-    s_eff: float = 0.0          # s - alpha*mu1 - beta*mu2
-    t_eff: float = 0.0          # t - alpha*nu1 - beta*nu2
-    delta1: float = 0.0
-    delta2: float = 0.0
-    delta: float = 0.0
-    machinery_ok: bool = False
     image_kind: str = ""
-    psi_w: float = 0.0
-    psi_z: float = 0.0
-    theta: float = 0.0
-    ray_direction: str = ""
-    ray_t: float = 0.0
-    rescue_used: bool = False
-    notes: list[str] = field(default_factory=list)
+    psi_w: float = 0.0          # side of w against the parabola, < 0 inside
+    ray_direction: str = ""     # "b" or "c": the ray or staircase leg crossed
+    ray_t: float = 0.0          # tau >= 0 of the crossing along it
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "notes"}
-        out["notes"] = list(self.notes)
-        return out
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,7 @@ def _eliminant_crossings(co, base, direction):
     gives a scalar quadratic in the curve parameter whose coefficients stay
     at the size of the image polynomials, so this remains well conditioned
     even when the implicit conic form does not (very flat parabolas).
-    Returns ``(t, tau, point)`` triples.
+    Returns ``(t, tau)`` pairs.
     """
     d0, d1 = float(direction[0]), float(direction[1])
     a = d1 * co.alpha - d0 * co.alpha_p
@@ -149,24 +134,25 @@ def _eliminant_crossings(co, base, direction):
         pt = np.array([(co.alpha * t + co.beta) * t + co.gamma,
                        (co.alpha_p * t + co.beta_p) * t + co.gamma_p])
         tau = ((pt[0] - base[0]) * d0 + (pt[1] - base[1]) * d1) / dd
-        out.append((t, float(tau), pt))
+        out.append((t, float(tau)))
     return out
 
 
-def _backward_crossing(co, w, cone, root_tol):
-    """Closest curve crossing on the two backward cone rays from ``w``.
+def _first_crossing(co, base, direction, reach: float, tol: float):
+    """Curve crossing of ``base - tau*direction`` with the least ``tau``.
 
-    Mirrors the ray-hit selection policy: the valid ``tau`` nearest zero
-    wins, ties in favor of the first generator.  Returns
-    ``(label, t, tau, point)`` or None.
+    Only ``tau`` in ``[0, reach]`` is eligible, widened for rounding by a
+    step of length ``tol``; the returned ``tau`` is clamped into
+    ``[0, reach]``, which moves ``e*`` by at most ``tol``.  Returns
+    ``(t, tau)`` or None.
     """
-    best = None
-    for label, d in (("b", cone.b), ("c", cone.c)):
-        for t, tau, pt in _eliminant_crossings(co, w, d):
-            if tau <= root_tol:
-                if best is None or (tau, label == "b") > (best[2], best[0] == "b"):
-                    best = (label, t, tau, pt)
-    return best
+    slack = tol / float(np.hypot(direction[0], direction[1]))
+    eligible = [(tau, t) for t, tau in _eliminant_crossings(co, base, -direction)
+                if -slack <= tau <= reach + slack]
+    if not eligible:
+        return None
+    tau, t = min(eligible)
+    return t, min(max(tau, 0.0), reach)
 
 
 def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
@@ -177,9 +163,9 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     """Certify ``w = alpha*u + (1-alpha)*v`` as a member of ``F(R^n) + cone``.
 
     Requires ``0 < alpha < 1`` and valid cone points.  Never returns an
-    unverified certificate: the final residual is checked internally and a
-    violation beyond ``cfg.cert_tol`` raises :class:`NumericalBreakdown`
-    with the trace attached.
+    unverified certificate: one that fails the :func:`verify_certificate`
+    predicate at ``cfg.cert_tol``, or a construction with no crossing,
+    raises :class:`NumericalBreakdown` with the trace attached.
     """
     if not 0.0 < alpha < 1.0:
         raise PreconditionViolated("alpha must lie strictly inside (0, 1)")
@@ -189,39 +175,16 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     w = alpha * u + beta * v
     u_bar = eval_map(fmap, point_u.x)
     v_bar = eval_map(fmap, point_v.x)
-    w_bar = alpha * u_bar + beta * v_bar
-    gap = cone2d.coords(cone, w - w_bar, cfg)
-    trace = WitnessTrace(alpha=alpha, beta=beta, lam=gap.lam, gam=gap.bet)
     scale = _value_scale(u, v, u_bar, v_bar)
-
-    def residual_of(x_star, e_star) -> float:
-        # same scale convention as verify_certificate, so an accepted
-        # certificate always re-verifies
-        value = eval_map(fmap, x_star) + e_star
-        return (float(np.max(np.abs(value - w)))
-                / _value_scale(w, value, e_star))
+    trace = WitnessTrace(alpha=alpha, beta=beta)
 
     def finish(x_star, e_star, branch: Branch) -> WitnessCertificate:
-        if residual_of(x_star, e_star) > cfg.cert_tol:
+        x_star = np.asarray(x_star, dtype=float).reshape(-1)
+        e_star = np.asarray(e_star, dtype=float).reshape(2)
+        if not _holds(fmap, cone, w, x_star, e_star, cfg.cert_tol, cfg):
             raise NumericalBreakdown(
-                "certificate residual exceeds tolerance", trace)
-        if not cone2d.contains(cone, e_star,
-                               cfg.cone_tol * cfg.rescue_factor, cfg):
-            raise NumericalBreakdown("e* left the cone beyond tolerance", trace)
-        return WitnessCertificate(np.asarray(x_star, dtype=float).reshape(-1),
-                                  np.asarray(e_star, dtype=float).reshape(2),
-                                  branch, trace)
-
-    def rescue(reason: str) -> WitnessCertificate:
-        # boundary fallback: endpoint membership with widened tolerance
-        trace.rescue_used = True
-        trace.notes.append(reason)
-        wide = cfg.cone_tol * cfg.rescue_factor
-        if cone2d.contains(cone, w - u_bar, wide, cfg):
-            return finish(point_u.x, w - u_bar, Branch.CASE1_U)
-        if cone2d.contains(cone, w - v_bar, wide, cfg):
-            return finish(point_v.x, w - v_bar, Branch.CASE1_V)
-        raise NumericalBreakdown(reason, trace)
+                f"{branch.value} certificate fails verification", trace)
+        return WitnessCertificate(x_star, e_star, branch, trace)
 
     # endpoint coincidence: w equals one of the mapped points
     if float(np.max(np.abs(w - u_bar))) <= cfg.eq_tol * scale:
@@ -229,134 +192,71 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     if float(np.max(np.abs(w - v_bar))) <= cfg.eq_tol * scale:
         return finish(point_v.x, w - v_bar, Branch.CASE1_V)
 
-    # decomposition bookkeeping in the cone basis (used by the flat branch
-    # of the parabola case; recorded in the trace for every branch)
-    su = cone2d.coords(cone, u_bar - w_bar, cfg)
-    s, t = su.lam, su.bet
-    swapped = s <= 0.0
-    trace.swapped = swapped
-    if swapped:
-        e1, e2 = point_v.e, point_u.e
-        a_mix, b_mix = beta, alpha
-        sv = cone2d.coords(cone, v_bar - w_bar, cfg)
-        s, t = sv.lam, sv.bet
-    else:
-        e1, e2 = point_u.e, point_v.e
-        a_mix, b_mix = alpha, beta
-    trace.s, trace.t = s, t
-    trace.l = -a_mix / b_mix
-    c1 = cone2d.coords(cone, e1, cfg)
-    c2 = cone2d.coords(cone, e2, cfg)
-    trace.mu1, trace.nu1 = c1.lam, c1.bet
-    trace.mu2, trace.nu2 = c2.lam, c2.bet
-    s_eff = s - a_mix * c1.lam - b_mix * c2.lam
-    t_eff = t - a_mix * c1.bet - b_mix * c2.bet
-    trace.s_eff, trace.t_eff = s_eff, t_eff
-    lam, gam = gap.lam, gap.bet
-    denom = lam + s_eff
-    machinery_ok = denom > 1e-14 * (1.0 + abs(lam) + abs(s_eff))
-    if machinery_ok:
-        delta1 = lam / denom
-        delta2 = s_eff / denom
-        delta = delta1 * t_eff - delta2 * gam
-        band = 1e-9
-        machinery_ok = (-band <= delta1 <= 1.0 + band
-                        and -band <= delta2 <= 1.0 + band
-                        and delta <= cfg.root_tol)
-        trace.delta1, trace.delta2, trace.delta = delta1, delta2, delta
-    trace.machinery_ok = machinery_ok
+    # w - w_bar = alpha*e1 + beta*e2 = lam*b + gam*c
+    c1 = cone2d.coords(cone, point_u.e, cfg)
+    c2 = cone2d.coords(cone, point_v.e, cfg)
+    lam = max(alpha * c1.lam + beta * c2.lam, 0.0)
+    gam = max(alpha * c1.bet + beta * c2.bet, 0.0)
+    trace.lam, trace.gam = lam, gam
+    gap = lam * cone.b + gam * cone.c
 
     try:
         img = quadmap.classify_line_image(fmap, point_u.x, point_v.x, cfg)
     except DegenerateLine:
-        return rescue("coincident preimage points outside endpoint case")
+        # x_u and x_v coincide, so F(x_u) is w_bar
+        return finish(point_u.x, gap, Branch.CASE1_U)
     trace.image_kind = img.kind.value
-
     if img.kind is LineImageKind.POINT:
-        # constant image on the line: w - u_bar is the cone gap itself
-        return rescue("image of the line is a single point")
-
-    if img.kind in (LineImageKind.RAY, LineImageKind.LINE):
+        return finish(point_u.x, gap, Branch.CASE1_U)
+    if img.kind is not LineImageKind.PARABOLA:
+        w_bar = alpha * u_bar + beta * v_bar
         try:
             x_star = quadmap.preimage_on_line(img, point_u.x, point_v.x, w_bar, cfg)
         except (NotOnImage, NoRealRoot) as exc:
-            return rescue(f"mixed value not on flat image: {exc}")
-        return finish(x_star, w - w_bar, Branch.RAY_OR_LINE)
+            raise NumericalBreakdown(
+                f"mixed value not on the flat image: {exc}", trace) from exc
+        return finish(x_star, gap, Branch.RAY_OR_LINE)
 
-    # parabola
-    psi = img.conic
-    psi_w = psi.evaluate(w)
-    trace.psi_w = psi_w
-    psi_scale = psi.coefficient_scale() * (1.0 + float(np.max(np.abs(w)))) ** 2
-    branch = Branch.PARABOLA_RAY_HIT if psi_w < 0.0 else Branch.PARABOLA_IVT
-    d_line = np.asarray(point_v.x, dtype=float) - np.asarray(point_u.x, dtype=float)
-
-    def crossing_fallback(reason: str) -> WitnessCertificate:
-        # recompute the backward-ray crossing in parameter space, which
-        # stays conditioned when the implicit form of a near-degenerate
-        # parabola does not; then try endpoint rescue
-        hit = _backward_crossing(img.coeffs, w, cone, cfg.root_tol)
-        if hit is not None:
-            label, t_cross, tau, w_star = hit
-            x_star = np.asarray(point_u.x, dtype=float) + t_cross * d_line
-            if residual_of(x_star, w - w_star) <= cfg.cert_tol:
-                trace.notes.append(f"parameter-space crossing after: {reason}")
-                trace.ray_direction = label
-                trace.ray_t = tau
-                return finish(x_star, w - w_star, branch)
-        return rescue(reason)
-
-    if psi_w < 0.0:
-        try:
-            hit = conic2d.first_negative_ray_hit(psi, w, cone, cfg)
-        except (LemmaViolated, PreconditionViolated, IdenticallyZero) as exc:
-            return crossing_fallback(f"backward ray hit failed: {exc}")
-        trace.ray_direction = hit.direction_label
-        trace.ray_t = hit.t
-        try:
-            x_star = quadmap.preimage_on_line(img, point_u.x, point_v.x,
-                                              hit.point, cfg)
-        except NotOnImage as exc:
-            return crossing_fallback(f"ray hit left the parabola: {exc}")
-        if residual_of(x_star, w - hit.point) > cfg.cert_tol:
-            return crossing_fallback("ray-hit certificate residual too large")
-        return finish(x_star, w - hit.point, Branch.PARABOLA_RAY_HIT)
-
-    # psi(w) >= 0: walk from w toward z = w + delta*c, which sits on the
-    # chord between u_bar and w_bar and therefore on the curve's negative side
-    if not machinery_ok:
-        return crossing_fallback(
-            "segment construction unavailable at the cone boundary")
-    delta = trace.delta
-    z = w + delta * cone.c
-    psi_z = psi.evaluate(z)
-    trace.psi_z = psi_z
-    if psi_z > cfg.on_tol * psi_scale:
-        return crossing_fallback(f"chord point has psi = {psi_z:.3e} > 0")
-    step = delta * cone.c
-    a_q = float(step @ psi.A @ step)
-    b_q = float(2.0 * (w @ psi.A @ step) + psi.a @ step)
-    c_q = psi_w
-    if abs(a_q) <= 1e-15 * max(abs(b_q), abs(c_q), 1.0):
-        theta_candidates = [] if b_q == 0.0 else [-c_q / b_q]
+    # parabola: psi(w) = sigma * (P_q(t(w)) - w_q), with q the coordinate
+    # whose polynomial the parameter map t(.) shears away
+    co = img.coeffs
+    q = 1 if img.swap else 0
+    qa, qb, qc = ((co.alpha_p, co.beta_p, co.gamma_p) if img.swap
+                  else (co.alpha, co.beta, co.gamma))
+    t_w = img.parameter_of(w)
+    trace.psi_w = math.copysign(1.0, qa) * ((qa * t_w + qb) * t_w + qc - w[q])
+    zero = np.zeros(2)
+    if trace.psi_w < 0.0:
+        # backward-ray lemma: the nearest crossing wins, ties to b
+        branch = Branch.PARABOLA_RAY_HIT
+        legs = (("b", w, cone.b, math.inf, zero), ("c", w, cone.c, math.inf, zero))
     else:
-        theta_candidates = conic2d._stable_quadratic_roots(a_q, b_q, c_q)
-    valid = [th for th in theta_candidates
-             if -cfg.root_tol <= th <= 1.0 + cfg.root_tol]
-    if not valid and abs(c_q) <= cfg.on_tol * psi_scale:
-        valid = [0.0]     # w itself sits on the curve up to tolerance
-    if not valid:
-        return crossing_fallback("no crossing on the segment toward the chord")
-    theta = min(max(min(valid), 0.0), 1.0)
-    trace.theta = theta
-    w_star = w + theta * step
-    try:
-        x_star = quadmap.preimage_on_line(img, point_u.x, point_v.x, w_star, cfg)
-    except NotOnImage as exc:
-        return crossing_fallback(f"segment crossing left the parabola: {exc}")
-    if residual_of(x_star, w - w_star) > cfg.cert_tol:
-        return crossing_fallback("segment certificate residual too large")
-    return finish(x_star, w - w_star, Branch.PARABOLA_IVT)
+        # w - lam*b - gam*c = w_bar lies on a chord, inside the curve, so
+        # the staircase w -> w - lam*b -> w_bar crosses it: the first wins
+        branch = Branch.PARABOLA_IVT
+        legs = (("b", w, cone.b, lam, zero),
+                ("c", w - lam * cone.b, cone.c, gam, lam * cone.b))
+    hits = []
+    for label, base, d, reach, offset in legs:
+        found = _first_crossing(co, base, d, reach, cfg.root_tol * scale)
+        if found is not None:
+            hits.append((found[1], label, found[0], offset + found[1] * d))
+    if not hits:
+        raise NumericalBreakdown(f"no crossing found for {branch.value}", trace)
+    first = min(hits, key=lambda h: h[0]) if branch is Branch.PARABOLA_RAY_HIT else hits[0]
+    trace.ray_t, trace.ray_direction, t_star, e_star = first
+    x_star = point_u.x + t_star * (point_v.x - point_u.x)
+    return finish(x_star, e_star, branch)
+
+
+def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
+           tol: float, cfg: ToleranceConfig) -> bool:
+    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone to ``tol``."""
+    value = eval_map(fmap, x_star) + e_star
+    scale = _value_scale(w, value, e_star)
+    if float(np.max(np.abs(value - w))) > tol * scale:
+        return False
+    return cone2d.contains(cone, e_star, tol, cfg)
 
 
 def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
@@ -365,16 +265,14 @@ def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
     """Recheck ``F(x*) + e* = w`` and cone membership from scratch.
 
     Shares no intermediate state with the constructor: everything is
-    recomputed from the certificate fields.
+    recomputed from the certificate fields.  The residual is relative to
+    the largest of ``|w|``, ``|F(x*) + e*|`` and ``|e*|`` (plus one); the
+    cone coordinates of ``e*`` get ``tol`` as an absolute slack.
     """
     if tol is None:
         tol = cfg.cert_tol
-    wv = np.asarray(w, dtype=float).reshape(2)
-    value = eval_map(fmap, cert.x_star) + cert.e_star
-    scale = _value_scale(wv, value, cert.e_star)
-    if float(np.max(np.abs(value - wv))) > tol * scale:
-        return False
-    return cone2d.contains(cone, cert.e_star, tol, cfg)
+    return _holds(fmap, cone, np.asarray(w, dtype=float).reshape(2),
+                  cert.x_star, cert.e_star, tol, cfg)
 
 
 @dataclass

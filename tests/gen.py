@@ -8,9 +8,13 @@ import hckit as hk
 from hckit import cone2d
 
 
-def random_cone(rng, min_angle_deg: float = 5.0) -> hk.Cone2:
-    """Cone with generator angle in [min_angle_deg, 180 - min_angle_deg]."""
-    ang = np.deg2rad(rng.uniform(min_angle_deg, 180.0 - min_angle_deg))
+def random_cone(rng, min_angle_deg: float = 5.0,
+                angle_deg: float | None = None) -> hk.Cone2:
+    """Cone with generator angle ``angle_deg``, by default uniform in
+    [min_angle_deg, 180 - min_angle_deg]."""
+    if angle_deg is None:
+        angle_deg = rng.uniform(min_angle_deg, 180.0 - min_angle_deg)
+    ang = np.deg2rad(angle_deg)
     th = rng.uniform(0.0, 2.0 * np.pi)
     b = rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)])
     c = rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang), np.sin(th + ang)])
@@ -129,6 +133,32 @@ def witness_instance(rng, n: int, box: float = 5.0):
         fmap = random_map(rng, n)
         pu = random_cone_point(rng, fmap, cone, box, box)
         pv = random_cone_point(rng, fmap, cone, box, box)
+    alpha = rng.uniform(0.05, 0.95)
+    return fmap, cone, pu, pv, alpha
+
+
+def scale_stress_instance(rng, n: int, angle_deg: float):
+    """A witness problem at an adversarial scale: (map, cone, point_u, point_v, alpha).
+
+    ``f`` and ``g`` are scaled by independent powers ``10^k``, ``k`` in
+    ``-6..6``; the box radius is log-uniform on ``[1, 1e3]``; the cone's
+    generators are ``angle_deg`` apart.  One map in ten has flat line images.
+    The cone elements are drawn at a log-uniform size between the scales of
+    the two components, so the gap ``w - w_bar`` is large against one of
+    them and small against the other.
+    """
+    def scaled(q: hk.QuadraticForm, k: int) -> hk.QuadraticForm:
+        return hk.QuadraticForm(10.0 ** k * q.matrix, 10.0 ** k * q.linear,
+                                10.0 ** k * q.constant)
+
+    kf, kg = (int(k) for k in rng.integers(-6, 7, size=2))
+    base = rank_deficient_map(rng, n) if rng.uniform() < 0.1 else random_map(rng, n)
+    fmap = hk.QuadraticMap(scaled(base.f, kf), scaled(base.g, kg))
+    box = 10.0 ** rng.uniform(0.0, 3.0)
+    cone = random_cone(rng, angle_deg=angle_deg)
+    radius = 10.0 ** rng.uniform(min(kf, kg), max(kf, kg)) * box * box
+    pu = random_cone_point(rng, fmap, cone, box, radius)
+    pv = random_cone_point(rng, fmap, cone, box, radius)
     alpha = rng.uniform(0.05, 0.95)
     return fmap, cone, pu, pv, alpha
 

@@ -12,12 +12,13 @@ import pytest
 
 import hckit as hk
 from hckit.config import DEFAULT_SEARCH
+from hckit.errors import NumericalBreakdown
 from hckit.quadmap import LineImageKind
 from hckit.slemma import Outcome
 from hckit.witness import Branch
 from gen import (interior_point, random_cone, random_form, random_map,
-                 random_parabola, rank_deficient_map, slater_instance,
-                 witness_instance)
+                 random_parabola, rank_deficient_map, scale_stress_instance,
+                 slater_instance, witness_instance)
 
 DIMS = (1, 2, 3, 6)
 TRIALS_PER_DIM = 1000
@@ -213,3 +214,27 @@ def test_criterion_8_hand_worked_regressions():
     assert abs(verdict.lam - 1.0) <= 1e-9
     print("ACCEPTANCE 8 hand-worked regressions: PASS "
           f"(witness x*=0, e*=(1,0); multiplier lambda={verdict.lam:.12f})")
+
+
+def test_criterion_9_adversarial_scale():
+    # 2000 instances: f and g scaled by 10^k (k = -6..6), boxes 1 to 1e3,
+    # cone angles log-spaced from 0.01 to 179.99 degrees
+    instances = 2000
+    rng = np.random.default_rng(99)
+    counts = {b: 0 for b in Branch}
+    breakdowns = 0
+    for i, angle in enumerate(np.geomspace(0.01, 179.99, instances)):
+        fmap, cone, pu, pv, alpha = scale_stress_instance(rng, DIMS[i % 4], angle)
+        w = alpha * pu.value + (1 - alpha) * pv.value
+        try:
+            cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
+        except NumericalBreakdown:
+            breakdowns += 1
+            continue
+        counts[cert.branch] += 1
+        assert hk.verify_certificate(fmap, cone, w, cert), (
+            f"instance {i}: returned {cert.branch.value} certificate fails verification")
+    assert breakdowns <= instances // 100, f"{breakdowns} breakdowns > 1%"
+    pretty = {b.value: c for b, c in counts.items()}
+    print(f"ACCEPTANCE 9 adversarial scale: PASS ({instances} instances, "
+          f"{sum(counts.values())} verified {pretty}, {breakdowns} breakdowns <= 1%)")

@@ -84,7 +84,11 @@ class TestWitness:
         np.testing.assert_allclose(env["outcome"]["x_star"], [0.0], atol=1e-9)
         np.testing.assert_allclose(env["outcome"]["e_star"], [1.0, 0.0], atol=1e-9)
         assert env["outcome"]["verified"] is True
-        assert "trace" in env
+        # w = (1, 0) is inside the parabola; the backward ray along b meets
+        # it at F(0) = (0, 0) after tau = 1, tying with the ray along c
+        assert env["trace"]["ray_direction"] == "b"
+        assert env["trace"]["ray_t"] == pytest.approx(1.0, abs=1e-12)
+        assert env["trace"]["psi_w"] < 0.0
 
     def test_identical_members(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -301,6 +305,22 @@ class TestProblemFiles:
                 "Q": [0.0], "q": [1.0], "q0": 0.0,
                 "tolerances": {"bogus": 1.0}}))
         assert "bogus" in str(err.value)
+
+    def test_retired_tolerance_ignored(self, tmp_path, capsys):
+        # rescue_factor is no longer a tolerance; files naming it still load
+        problem = parse_problem(json.dumps({
+            "schema_version": "1", "dimension": 1,
+            "P": [1.0], "p": [0.0], "p0": 0.0,
+            "Q": [0.0], "q": [1.0], "q0": 0.0,
+            "tolerances": {"rescue_factor": 100.0, "cert_tol": 1e-8}}))
+        assert problem.tolerances.cert_tol == 1e-8
+        tol_path = tmp_path / "tol.json"
+        tol_path.write_text(json.dumps({"rescue_factor": 100.0}))
+        path = write_problem(tmp_path, tolerances={"rescue_factor": 100.0})
+        code, out, _ = run(capsys, ["witness", path, "--xu", "1", "--xv", "-1",
+                                    "--alpha", "0.5", "--tol-config", str(tol_path)])
+        assert code == 0
+        assert "rescue_factor" not in json.loads(out)["tolerances"]
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,17 @@ class TestMinOfQuadratic:
             assert res.bounded
             resid = m @ res.minimizer + lin / 2.0
             assert np.max(np.abs(resid)) <= 1e-8 * (1 + np.max(np.abs(lin)))
+
+
+class TestWarningFree:
+    def test_singular_matrix_raises_no_warning(self):
+        # the pseudoinverse skips zero eigenvalues without reading
+        # uninitialized memory (numpy warns about where= without out=)
+        singular = [[1.0, 0.0], [0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hk.min_of_quadratic(singular, [0.0, 0.0], 0.0)
+            x = min_norm_solution(singular, [2.0, 0.0])
+        assert res.bounded and res.value == 0.0
+        np.testing.assert_allclose(res.minimizer, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)

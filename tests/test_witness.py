@@ -107,8 +107,9 @@ class TestSoundness:
             assert np.max(np.abs(value - pu.value)) <= 1e-9 * scale
 
     def test_trace_contracts_under_case2_hypothesis(self):
-        # the sign contracts are guaranteed exactly when neither mapped
-        # endpoint already lies in w - cone
+        # when neither mapped endpoint already lies in w - cone, a crossing
+        # (or the flat image) decides, and e* is assembled from the recorded
+        # nonnegative cone coordinates rather than recovered by subtraction
         rng = np.random.default_rng(77)
         seen = 0
         while seen < 400:
@@ -122,38 +123,45 @@ class TestSoundness:
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
             tr = cert.trace
             assert cert.branch not in (Branch.CASE1_U, Branch.CASE1_V)
-            assert tr.s > 0.0 and tr.t < 0.0
-            assert tr.l < 0.0
-            assert tr.machinery_ok
-            assert tr.delta <= hk.DEFAULT_TOLERANCES.root_tol
-            assert tr.delta1 + tr.delta2 == pytest.approx(1.0, abs=1e-12)
-            assert tr.delta1 >= -1e-12 and tr.delta2 >= -1e-12
-            if cert.branch is Branch.PARABOLA_IVT:
-                assert tr.psi_z <= 1e-7 * (1 + abs(tr.psi_z))
-                assert -1e-12 <= tr.theta <= 1.0
+            assert tr.lam >= 0.0 and tr.gam >= 0.0
+            if cert.branch is Branch.RAY_OR_LINE:
+                expected = tr.lam * cone.b + tr.gam * cone.c
+            else:
+                assert tr.ray_direction in ("b", "c")
+                assert tr.ray_t >= 0.0
+                if cert.branch is Branch.PARABOLA_RAY_HIT:
+                    assert tr.psi_w < 0.0
+                    expected = tr.ray_t * (cone.b if tr.ray_direction == "b" else cone.c)
+                else:
+                    assert tr.psi_w >= 0.0
+                    assert tr.ray_t <= tr.lam + tr.gam
+                    if tr.ray_direction == "b":
+                        assert tr.ray_t <= tr.lam
+                        expected = tr.ray_t * cone.b
+                    else:
+                        assert tr.ray_t <= tr.gam
+                        expected = tr.lam * cone.b + tr.ray_t * cone.c
+            np.testing.assert_array_equal(cert.e_star, expected)
             seen += 1
 
     def test_breakdown_carries_trace(self, monkeypatch):
-        # neither endpoint is cone-reachable from w here, so with both the
-        # primary route and the parameter-space fallback disabled the
-        # construction must fail loudly, trace attached
+        # neither endpoint is cone-reachable from w here, so with the one
+        # crossing routine finding nothing the construction must fail
+        # loudly, trace attached
         fmap = parabola_map()
         cone = hk.positive_quadrant()
         pu = hk.cone_point(fmap, cone, [-2.0], [0.0, 0.0])
         pv = hk.cone_point(fmap, cone, [1.0], [0.0, 0.0])
-        from hckit import quadmap, witness
-        from hckit.errors import NotOnImage
+        from hckit import witness
 
-        def refuse(*args, **kwargs):
-            raise NotOnImage("forced")
-
-        monkeypatch.setattr(quadmap, "preimage_on_line", refuse)
-        monkeypatch.setattr(witness, "_backward_crossing",
-                            lambda *a, **kw: None)
+        monkeypatch.setattr(witness, "_eliminant_crossings", lambda *a, **kw: [])
         with pytest.raises(NumericalBreakdown) as err:
             hk.witness_convex_combination(fmap, cone, pu, pv, 0.5)
-        assert err.value.trace is not None
-        assert err.value.trace.rescue_used
+        trace = err.value.trace
+        assert trace is not None
+        assert trace.image_kind == "Parabola"
+        assert trace.psi_w < 0.0
+        assert trace.ray_direction == ""
 
 
 class TestConvexityProbe:
