@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -76,10 +77,23 @@ def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
         vec = np.array([float(v) for v in values], dtype=float)
     except (TypeError, ValueError):
         raise _CliError(EXIT_VALIDATION, f"{name}: contains a non-number")
+    if not np.isfinite(vec).all():
+        raise _CliError(EXIT_VALIDATION, f"{name}: entries must be finite")
     if vec.shape[0] != length:
         raise _CliError(EXIT_VALIDATION,
                         f"{name}: expected {length} entries, got {vec.shape[0]}")
     return vec
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a float flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _load(args) -> Problem:
@@ -338,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", default="0 0", help="cone element of the first member")
     p.add_argument("--xv", help="preimage of the second member")
     p.add_argument("--e2", default="0 0", help="cone element of the second member")
-    p.add_argument("--alpha", type=float, default=None, help="mixing weight in (0,1)")
+    p.add_argument("--alpha", type=_finite_float, default=None,
+                   help="mixing weight in (0,1)")
     p.add_argument("--verify-envelope", default=None,
                    help="re-verify a previously emitted witness envelope")
     p.set_defaults(handler=_cmd_witness)
@@ -352,15 +367,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", type=float, default=1.0)
+    p.add_argument("--box", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("verify-convexity", help="randomized convexity probe")
     common(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--box", type=_finite_float, default=1.0)
+    p.add_argument("--rho", type=_finite_float, default=None,
                    help="objective shift (requires a manifold)")
     p.set_defaults(handler=_cmd_verify_convexity)
 

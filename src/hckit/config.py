@@ -2,7 +2,8 @@
 
 A single immutable value is threaded through all modules so that there is one
 knob surface.  Every threshold below is relative to a locally computed scale
-unless noted otherwise.
+unless noted otherwise, and every field is read by some code path: the
+eigendecomposition and SVD come from LAPACK and take no knobs of their own.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # dense symmetric eigensolver
-    jacobi_off_tol: float = 1e-12      # off-diagonal stop, relative to max |entry|
-    jacobi_max_sweeps: int = 100
+    # dense linear algebra (LAPACK eigh and SVD)
     rank_tol: float = 1e-10            # singular-value cutoff, relative to largest
     psd_tol: float = 1e-9              # "is PSD" slack on eigenvalues
     range_tol: float = 1e-8            # residual slack for "m in range(M)"
@@ -29,7 +28,7 @@ class ToleranceConfig:
     root_tol: float = 1e-9             # a root at t <= root_tol counts as t <= 0
 
     # line images of quadratic maps
-    det_tol: float = 1e-9              # case split on |alpha*beta' - alpha'*beta|
+    det_tol: float = 1e-9              # |alpha*beta' - alpha'*beta| vs the two rows' sizes
     line_tol: float = 1e-12            # endpoints equal => degenerate line
 
     # witness construction

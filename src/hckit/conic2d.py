@@ -20,7 +20,7 @@ import numpy as np
 from . import cone2d
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import IdenticallyZero, LemmaViolated, NotAParabola, PreconditionViolated
-from .smallmat import eigh, symmetrize
+from .smallmat import eigh, quadratic_roots, symmetrize
 
 
 @dataclass(frozen=True)
@@ -185,25 +185,6 @@ def chord_interior_sign(conic: Conic2, x, y, t: float,
     return conic.evaluate(xp + t * (yp - xp))
 
 
-def _stable_quadratic_roots(alpha: float, beta: float, gamma: float) -> list[float]:
-    """Real roots of ``alpha t^2 + beta t + gamma`` with ``alpha != 0``.
-
-    Uses the cancellation-free form ``q = -(beta + sign(beta) sqrt(disc))/2``
-    with roots ``q/alpha`` and ``gamma/q``.
-    """
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (beta + math.copysign(sq, beta))
-    if q == 0.0:
-        # beta == 0 and gamma == 0 (double root at 0), or gamma == 0
-        return [0.0, -beta / alpha] if beta != 0.0 else [0.0]
-    r1 = q / alpha
-    r2 = gamma / q
-    return [r1] if r1 == r2 else [r1, r2]
-
-
 def ray_intersections(conic: Conic2, z, direction,
                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> list[float]:
     """Parameters ``t <= root_tol`` with ``psi(z + t*dir) = 0``.
@@ -223,14 +204,8 @@ def ray_intersections(conic: Conic2, z, direction,
     geom = max(1.0, float(np.max(np.abs(zp))), float(np.max(np.abs(d)))) ** 2
     if mag <= 1e-13 * conic.coefficient_scale() * geom:
         raise IdenticallyZero("line lies inside the conic zero set")
-    if abs(alpha) <= 1e-14 * mag:
-        if abs(beta) <= 1e-14 * mag:
-            return []
-        roots = [-gamma / beta]
-    else:
-        roots = _stable_quadratic_roots(alpha, beta, gamma)
-    kept = sorted((t for t in roots if t <= cfg.root_tol), reverse=True)
-    return kept
+    return sorted((t for t in quadratic_roots(alpha, beta, gamma)
+                   if t <= cfg.root_tol), reverse=True)
 
 
 @dataclass(frozen=True)

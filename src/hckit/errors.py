@@ -12,7 +12,7 @@ class HckError(Exception):
 
 
 class InternalNumerics(HckError):
-    """An internal iteration failed to converge within its cap."""
+    """A LAPACK routine failed, or was handed a non-finite matrix."""
 
 
 class DegenerateCone(HckError):

@@ -3,8 +3,10 @@
 Problems are JSON documents carrying the two quadratic forms, an optional
 cone (default: the positive quadrant), an optional affine manifold (either a
 linear system ``H x = d`` or an explicit point plus basis columns), and
-optional tolerance overrides.  Numbers survive a round trip exactly: output
-uses Python's shortest repr, which is bit-faithful for doubles.
+optional tolerance overrides.  Every number must be finite: JSON ``NaN``,
+``Infinity``, strings and booleans are refused with the field named.
+Numbers survive a round trip exactly: output uses Python's shortest repr,
+which is bit-faithful for doubles.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +41,23 @@ def _require(condition: bool, message: str, field: str):
         raise ProblemFileError(message, field=field)
 
 
+def _as_float(raw, field: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and Infinity are refused."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ProblemFileError(f"field '{field}': {raw!r} is not a finite number", field)
+
+
 def _as_floats(raw, length: int, field: str) -> np.ndarray:
     _require(isinstance(raw, list), f"field '{field}' must be an array", field)
     _require(len(raw) == length,
              f"field '{field}' has length {len(raw)}, expected {length}", field)
-    try:
-        return np.array([float(v) for v in raw], dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemFileError(f"field '{field}' contains a non-number", field)
+    return np.array([_as_float(v, field) for v in raw], dtype=float)
 
 
 def _parse_symmetric(raw, n: int, field: str) -> np.ndarray:
@@ -89,19 +101,26 @@ def _parse_matrix_rows(raw, n_cols: int, field: str) -> np.ndarray:
 
 
 # tolerances that no code path reads any more; files naming them still parse
-RETIRED_TOLERANCES = frozenset({"rescue_factor"})
+RETIRED_TOLERANCES = frozenset({"rescue_factor", "jacobi_off_tol",
+                                "jacobi_max_sweeps"})
 
 
 def _parse_tolerances(raw, field: str) -> ToleranceConfig:
+    """Overrides of known tolerances, each a finite number greater than 0."""
     if raw is None:
         return DEFAULT_TOLERANCES
     _require(isinstance(raw, dict), f"field '{field}' must be an object", field)
     known = {f.name for f in dataclasses.fields(ToleranceConfig)}
-    for key in raw:
+    overrides = {}
+    for key, value in raw.items():
+        name = f"{field}.{key}"
         _require(key in known or key in RETIRED_TOLERANCES,
-                 f"unknown tolerance '{key}'", f"{field}.{key}")
-    return DEFAULT_TOLERANCES.with_overrides(
-        **{k: v for k, v in raw.items() if k in known})
+                 f"unknown tolerance '{key}'", name)
+        if key in known:
+            overrides[key] = _as_float(value, name)
+            _require(overrides[key] > 0.0,
+                     f"tolerance '{key}' must be greater than 0", name)
+    return DEFAULT_TOLERANCES.with_overrides(**overrides)
 
 
 def parse_problem(text: str | bytes) -> Problem:
@@ -118,7 +137,7 @@ def parse_problem(text: str | bytes) -> Problem:
              f"schema_version must be '{SCHEMA_VERSION}', got {version!r}",
              "schema_version")
     n = doc.get("dimension")
-    _require(isinstance(n, int) and n >= 1,
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "dimension must be a positive integer", "dimension")
     for name in ("P", "Q", "p", "q", "p0", "q0"):
         _require(name in doc, f"missing required field '{name}'", name)
@@ -126,11 +145,8 @@ def parse_problem(text: str | bytes) -> Problem:
     qmat = _parse_symmetric(doc["Q"], n, "Q")
     pvec = _as_floats(doc["p"], n, "p")
     qvec = _as_floats(doc["q"], n, "q")
-    for name in ("p0", "q0"):
-        _require(isinstance(doc[name], (int, float)),
-                 f"field '{name}' must be a number", name)
-    fmap = QuadraticMap(QuadraticForm(pmat, pvec, float(doc["p0"])),
-                        QuadraticForm(qmat, qvec, float(doc["q0"])))
+    fmap = QuadraticMap(QuadraticForm(pmat, pvec, _as_float(doc["p0"], "p0")),
+                        QuadraticForm(qmat, qvec, _as_float(doc["q0"], "q0")))
 
     tol = _parse_tolerances(doc.get("tolerances"), "tolerances")
 

@@ -193,10 +193,12 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     """Decide which of the four image shapes the line produces.
 
     The split is on the determinant of the quadratic/linear coefficient pairs
-    of the two image polynomials.  A (near-)zero determinant means the two
-    polynomials are proportional up to constants, so the image sits on a
-    straight line: a point if everything non-constant vanishes, a full line
-    if the shared polynomial is affine, a ray if it is genuinely quadratic.
+    of the two image polynomials, relative to the product of the two pairs'
+    own sizes so that f and g at different scales do not flatten a
+    parabola.  A (near-)zero determinant means the two polynomials are
+    proportional up to constants, so the image sits on a straight line: a
+    point if everything non-constant vanishes, a full line if the shared
+    polynomial is affine, a ray if it is genuinely quadratic.
     A nonzero determinant always produces a parabola, whose implicit equation
     is built by shearing the dominant quadratic coordinate against the other
     one and eliminating the parameter.
@@ -204,15 +206,16 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     co = line_coeffs(fmap, xbar, ybar, cfg)
     al, be, ga = co.alpha, co.beta, co.gamma
     alp, bep, gap = co.alpha_p, co.beta_p, co.gamma_p
-    m4 = max(abs(al), abs(be), abs(alp), abs(bep))
+    row_f = max(abs(al), abs(be))
+    row_g = max(abs(alp), abs(bep))
     det2 = al * bep - alp * be
 
-    if m4 <= cfg.det_tol * co.scale():
+    if max(row_f, row_g) <= cfg.det_tol * co.scale():
         return LineImage(LineImageKind.POINT, co, point=np.array([ga, gap]))
 
-    if abs(det2) <= cfg.det_tol * m4 * m4:
+    if abs(det2) <= cfg.det_tol * row_f * row_g:
         # proportional rows: pivot on the larger pair for stability
-        pivot = 0 if max(abs(al), abs(be)) >= max(abs(alp), abs(bep)) else 1
+        pivot = 0 if row_f >= row_g else 1
         if pivot == 0:
             a1, b1, c1 = al, be, ga
             a2, b2, c2 = alp, bep, gap

@@ -29,7 +29,7 @@ from .config import (DEFAULT_SEARCH, DEFAULT_TOLERANCES, SearchConfig,
                      ToleranceConfig)
 from .errors import DimensionTooLarge, SlaterViolated
 from .quadmap import QuadraticForm
-from .smallmat import MinResult, min_of_quadratic
+from .smallmat import MinResult, min_of_quadratic, quadratic_roots
 
 
 class Outcome(enum.Enum):
@@ -182,18 +182,7 @@ def _constraint_descent_point(g: QuadraticForm, x: np.ndarray,
     a = float(d @ g.matrix @ d)
     b = float(grad @ d)  # = -norm
     c = g(x) - target
-    if abs(a) <= 1e-15 * max(abs(b), abs(c), 1.0):
-        etas = [-c / b] if b != 0.0 else []
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return None
-        sq = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(sq, b))
-        etas = [q / a] if q != 0.0 else [0.0]
-        if q != 0.0:
-            etas.append(c / q)
-    etas = [e for e in etas if e >= 0.0]
+    etas = [e for e in quadratic_roots(a, b, c) if e >= 0.0]
     if not etas:
         return None
     return x + min(etas) * d

@@ -1,10 +1,13 @@
 """Dense small-scale real linear algebra used by every other module.
 
-Provides a cyclic Jacobi symmetric eigensolver, numerical rank and null-space
-bases via the Gram matrix, minimum-norm solutions of rectangular systems, and
-global minimization of a quadratic function.  Everything is plain ``float64``
-numpy at desk scale (n up to a few hundred); there is no sparse or complex
-support.
+Provides the symmetric eigendecomposition, numerical rank, null-space bases
+and minimum-norm solutions of rectangular systems, global minimization of a
+quadratic function, and the real roots of a scalar quadratic.  The matrix
+work is LAPACK through numpy: ``np.linalg.eigh`` for symmetric matrices and
+one ``np.linalg.svd`` of ``H`` for rank, kernel and min-norm solves, with
+the singular-value cut ``s > rank_tol * s[0]``.  Everything is plain
+``float64`` at desk scale (n up to a few hundred); there is no sparse or
+complex support.
 """
 
 from __future__ import annotations
@@ -26,6 +29,20 @@ def symmetrize(entries) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _lapack(routine, a: np.ndarray):
+    """Run a numpy.linalg routine; failures raise :class:`InternalNumerics`.
+
+    A non-finite entry is refused up front: LAPACK would return NaN from
+    ``eigh`` but raise from ``svd``.
+    """
+    if not np.all(np.isfinite(a)):
+        raise InternalNumerics(f"{routine.__name__}: matrix has a non-finite entry")
+    try:
+        return routine(a)
+    except np.linalg.LinAlgError as exc:
+        raise InternalNumerics(f"{routine.__name__}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class EigenDecomp:
     """Eigendecomposition of a symmetric matrix.
@@ -39,113 +56,22 @@ class EigenDecomp:
 
 
 def eigh(matrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> EigenDecomp:
-    """Diagonalize a symmetric matrix with the cyclic Jacobi iteration.
+    """Diagonalize a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     The input is symmetrized first, so mildly asymmetric storage is accepted.
-    Iteration stops once every off-diagonal entry is below
-    ``cfg.jacobi_off_tol`` times the largest input magnitude; the sweep cap
-    signals :class:`InternalNumerics` (it is not reachable for genuine
-    symmetric input at desk scale).  Deterministic for identical input.
+    Deterministic for identical input.  A non-finite entry or a LAPACK
+    failure raises :class:`InternalNumerics`.  ``cfg`` is not read: LAPACK
+    takes no tolerance.
     """
     a = symmetrize(matrix)
-    n = a.shape[0]
-    if n < 1:
+    if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    v = np.eye(n)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0 or n == 1:
-        order = np.argsort(np.diag(a), kind="stable")
-        return EigenDecomp(np.diag(a)[order].copy(), v[:, order].copy())
-    thresh = cfg.jacobi_off_tol * scale
-
-    converged = False
-    for _ in range(cfg.jacobi_max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # closed forms keep the pivot entries exact
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        converged = False
-    if not converged:
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off > thresh:
-            raise InternalNumerics(
-                f"Jacobi iteration did not converge in {cfg.jacobi_max_sweeps}"
-                f" sweeps (off-diagonal {off:.3e} > {thresh:.3e})"
-            )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomp(eigenvalues[order], v[:, order].copy())
+    lam, vecs = _lapack(np.linalg.eigh, a)
+    return EigenDecomp(lam, vecs)
 
 
-# Forming H^T H squares the spectrum, so an exactly singular direction can
-# surface with a Gram eigenvalue as large as a few hundred ulp of the top
-# one; eigenvalues below this relative floor are numerical zeros no matter
-# how small the requested singular-value threshold is.
-_GRAM_EIG_FLOOR = 1e-13
-
-
-def _gram_cut(lam_max: float, tol: float) -> float:
-    return lam_max * max(tol * tol, _GRAM_EIG_FLOOR)
-
-
-def singular_values(matrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Singular values of a rectangular matrix via ``eigh`` of the Gram matrix."""
-    h = np.asarray(matrix, dtype=float)
-    gram = h.T @ h
-    dec = eigh(gram, cfg)
-    return np.sqrt(np.clip(dec.eigenvalues, 0.0, None))[::-1]
-
-
-def numerical_rank(matrix, tol: float | None = None,
-                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    if tol is None:
-        tol = cfg.rank_tol
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] == 0 or not np.any(h):
-        return 0
-    lam = eigh(h.T @ h, cfg).eigenvalues
-    return int(np.sum(lam > _gram_cut(float(lam[-1]), tol)))
-
-
-def null_space_basis(matrix, tol: float | None = None,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal basis of the (numerical) kernel of an m-by-n matrix.
-
-    Returns an n-by-k array whose columns span ``{x : H x = 0}`` with
-    ``k = n - numerical_rank(H)``.  An empty matrix (m = 0) encodes "no
-    constraints" and yields the identity.  ``k`` may be 0.
-    """
+def _svd(matrix, tol: float | None, cfg: ToleranceConfig):
+    """Full SVD ``H = U diag(s) V^T`` and the numerical rank ``#{s > tol*s[0]}``."""
     if tol is None:
         tol = cfg.rank_tol
     if tol <= 0.0:
@@ -153,47 +79,41 @@ def null_space_basis(matrix, tol: float | None = None,
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {h.shape}")
-    m, n = h.shape
-    if m == 0 or not np.any(h):
-        return np.eye(n)
-    dec = eigh(h.T @ h, cfg)
-    lam = dec.eigenvalues
-    keep = lam <= _gram_cut(float(lam[-1]), tol)
-    return dec.eigenvectors[:, keep].copy()
+    u, s, vt = _lapack(np.linalg.svd, h)
+    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    return u, s, vt, rank
+
+
+def numerical_rank(matrix, tol: float | None = None,
+                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
+    """Number of singular values above ``tol`` times the largest one."""
+    return _svd(matrix, tol, cfg)[3]
+
+
+def null_space_basis(matrix, tol: float | None = None,
+                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Orthonormal basis of the (numerical) kernel of an m-by-n matrix.
+
+    Returns an n-by-k array whose columns span ``{x : H x = 0}`` with
+    ``k = n - numerical_rank(H)``: the right singular vectors past the
+    rank.  An empty matrix (m = 0) encodes "no constraints" and yields an
+    orthonormal basis of R^n.  ``k`` may be 0.
+    """
+    _, _, vt, rank = _svd(matrix, tol, cfg)
+    return vt[rank:].T.copy()
 
 
 def min_norm_solution(matrix, rhs, tol: float | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Minimum-norm solution of ``H x = d`` through the Gram pseudoinverse.
+    """Minimum-norm solution of ``H x = d`` through the SVD pseudoinverse.
 
-    Two refinement passes absorb the accuracy lost to squaring the spectrum;
-    the corrections live in the row space, so the minimum-norm property is
-    preserved.  Does not check consistency; callers compare the residual
+    Singular values at or below ``tol`` times the largest are treated as
+    zero.  Does not check consistency; callers compare the residual
     themselves.
     """
-    if tol is None:
-        tol = cfg.rank_tol
-    h = np.asarray(matrix, dtype=float)
-    d = np.asarray(rhs, dtype=float)
-    m, n = h.shape
-    if m == 0:
-        return np.zeros(n)
-    dec = eigh(h.T @ h, cfg)
-    lam = dec.eigenvalues
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros(n)
-    cut = _gram_cut(lam_max, tol)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)
-
-    def apply_pinv(vec):
-        coords = dec.eigenvectors.T @ (h.T @ vec)
-        return dec.eigenvectors @ (inv * coords)
-
-    x = apply_pinv(d)
-    for _ in range(2):
-        x = x + apply_pinv(d - h @ x)
-    return x
+    u, s, vt, rank = _svd(matrix, tol, cfg)
+    d = np.asarray(rhs, dtype=float).reshape(-1)
+    return vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
 
 
 @dataclass(frozen=True)
@@ -241,3 +161,30 @@ def min_of_quadratic(matrix, linear, constant: float,
     minimizer = vecs @ (-0.5 * inv * coords)
     value = m0 - 0.25 * float(np.sum(inv * coords * coords))
     return MinResult(bounded=True, value=value, minimizer=minimizer)
+
+
+def quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of the scalar polynomial ``a t^2 + b t + c``.
+
+    A leading coefficient at most 1e-14 of the largest one makes the
+    polynomial linear; if the linear coefficient is that small too (or the
+    polynomial is zero) there is no root.  Otherwise the cancellation-free
+    form ``q = -(b + sign(b) sqrt(disc))/2`` gives the roots ``q/a`` and
+    ``c/q``; a double root is listed once.
+    """
+    mag = max(abs(a), abs(b), abs(c))
+    if abs(a) <= 1e-14 * mag:
+        if abs(b) <= 1e-14 * mag:
+            return []
+        return [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(sq, b))
+    if q == 0.0:
+        # b == 0 and c == 0: double root at 0
+        return [0.0]
+    r1 = q / a
+    r2 = c / q
+    return [r1] if r1 == r2 else [r1, r2]

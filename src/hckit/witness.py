@@ -35,11 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cone2d, conic2d, quadmap
+from . import cone2d, quadmap
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (DegenerateLine, NoRealRoot, NotOnImage,
                      NumericalBreakdown, PreconditionViolated)
 from .quadmap import LineImageKind, QuadraticMap, eval_map
+from .smallmat import quadratic_roots
 
 
 class Branch(enum.Enum):
@@ -119,18 +120,9 @@ def _eliminant_crossings(co, base, direction):
     b = d1 * co.beta - d0 * co.beta_p
     c = (d1 * co.gamma - d0 * co.gamma_p
          - d1 * float(base[0]) + d0 * float(base[1]))
-    mag = max(abs(a), abs(b), abs(c))
-    if mag == 0.0:
-        return []
-    if abs(a) <= 1e-14 * mag:
-        if abs(b) <= 1e-14 * mag:
-            return []
-        roots = [-c / b]
-    else:
-        roots = conic2d._stable_quadratic_roots(a, b, c)
     dd = d0 * d0 + d1 * d1
     out = []
-    for t in roots:
+    for t in quadratic_roots(a, b, c):
         pt = np.array([(co.alpha * t + co.beta) * t + co.gamma,
                        (co.alpha_p * t + co.beta_p) * t + co.gamma_p])
         tau = ((pt[0] - base[0]) * d0 + (pt[1] - base[1]) * d1) / dd
@@ -251,10 +243,17 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
 
 def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
            tol: float, cfg: ToleranceConfig) -> bool:
-    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone to ``tol``."""
+    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone to ``tol``.
+
+    Non-finite data fails: the scale is finite only when ``w``, ``F(x*)``
+    and ``e*`` are, and every comparison is written so that NaN fails it.
+    """
+    if not np.isfinite(x_star).all():
+        return False
     value = eval_map(fmap, x_star) + e_star
     scale = _value_scale(w, value, e_star)
-    if float(np.max(np.abs(value - w))) > tol * scale:
+    if not (math.isfinite(scale)
+            and float(np.max(np.abs(value - w))) <= tol * scale):
         return False
     return cone2d.contains(cone, e_star, tol, cfg)
 
@@ -267,7 +266,8 @@ def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
     Shares no intermediate state with the constructor: everything is
     recomputed from the certificate fields.  The residual is relative to
     the largest of ``|w|``, ``|F(x*) + e*|`` and ``|e*|`` (plus one); the
-    cone coordinates of ``e*`` get ``tol`` as an absolute slack.
+    cone coordinates of ``e*`` get ``tol`` as an absolute slack.  A
+    non-finite entry in ``x*``, ``e*`` or ``w`` never verifies.
     """
     if tol is None:
         tol = cfg.cert_tol

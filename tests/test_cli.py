@@ -138,6 +138,17 @@ class TestWitness:
         assert code == 4
         assert json.loads(out)["outcome"]["verification"] == "fail"
 
+    def test_forged_non_finite_envelope_fails(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        env_path = tmp_path / "forged.json"
+        env_path.write_text(json.dumps({"outcome": {
+            "x_star": [float("nan")], "e_star": [0.0, 0.0], "w": [5.0, 0.0],
+            "branch": "ParabolaRayHit"}}))
+        code, out, _ = run(capsys, [
+            "witness", path, "--verify-envelope", str(env_path)])
+        assert code == 4
+        assert json.loads(out)["outcome"]["verification"] == "fail"
+
 
 class TestSLemma:
     def test_multiplier(self, tmp_path, capsys):
@@ -307,20 +318,24 @@ class TestProblemFiles:
         assert "bogus" in str(err.value)
 
     def test_retired_tolerance_ignored(self, tmp_path, capsys):
-        # rescue_factor is no longer a tolerance; files naming it still load
+        # retired tolerances are no longer read; files naming them still load
+        retired = {"rescue_factor": 100.0, "jacobi_off_tol": 1e-12,
+                   "jacobi_max_sweeps": 100}
         problem = parse_problem(json.dumps({
             "schema_version": "1", "dimension": 1,
             "P": [1.0], "p": [0.0], "p0": 0.0,
             "Q": [0.0], "q": [1.0], "q0": 0.0,
-            "tolerances": {"rescue_factor": 100.0, "cert_tol": 1e-8}}))
+            "tolerances": {**retired, "cert_tol": 1e-8}}))
         assert problem.tolerances.cert_tol == 1e-8
         tol_path = tmp_path / "tol.json"
-        tol_path.write_text(json.dumps({"rescue_factor": 100.0}))
-        path = write_problem(tmp_path, tolerances={"rescue_factor": 100.0})
+        tol_path.write_text(json.dumps(retired))
+        path = write_problem(tmp_path, tolerances=retired)
         code, out, _ = run(capsys, ["witness", path, "--xu", "1", "--xv", "-1",
                                     "--alpha", "0.5", "--tol-config", str(tol_path)])
         assert code == 0
-        assert "rescue_factor" not in json.loads(out)["tolerances"]
+        listed = json.loads(out)["tolerances"]
+        assert not set(retired) & set(listed)
+        assert len(listed) == 12
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -338,3 +353,74 @@ class TestProblemFiles:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["outcome"]["kind"] == "Parabola"
+
+
+class TestNonFiniteInput:
+    """Every number in a problem file is finite and numeric, or exit 2."""
+
+    def check_rejected(self, tmp_path, capsys, field, **overrides):
+        path = write_problem(tmp_path, **overrides)
+        code, _, err = run(capsys, ["witness", path, "--xu", "1", "--xv", "-1",
+                                    "--alpha", "0.5"])
+        assert code == 2
+        assert f"field: {field}" in err
+
+    def test_dimension(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "dimension", dimension=True)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "1", True])
+    def test_matrix_entries(self, tmp_path, capsys, bad):
+        self.check_rejected(tmp_path, capsys, "P", P=[bad])
+        self.check_rejected(tmp_path, capsys, "Q", Q=[bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), None])
+    def test_vector_entries(self, tmp_path, capsys, bad):
+        self.check_rejected(tmp_path, capsys, "p", p=[bad])
+        self.check_rejected(tmp_path, capsys, "q", q=[bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0", False])
+    def test_constants(self, tmp_path, capsys, bad):
+        self.check_rejected(tmp_path, capsys, "p0", p0=bad)
+        self.check_rejected(tmp_path, capsys, "q0", q0=bad)
+
+    def test_cone(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "cone.b",
+                            cone={"b": [float("inf"), 0.0], "c": [0.0, 1.0]})
+        self.check_rejected(tmp_path, capsys, "cone.c",
+                            cone={"b": [1.0, 0.0], "c": [0.0, float("nan")]})
+
+    def test_manifold(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "manifold.H",
+                            manifold={"H": [[float("nan")]], "d": [0.0]})
+        self.check_rejected(tmp_path, capsys, "manifold.d",
+                            manifold={"H": [[1.0]], "d": [float("inf")]})
+        self.check_rejected(tmp_path, capsys, "manifold.x0",
+                            manifold={"x0": [float("nan")], "basis": [[1.0]]})
+        self.check_rejected(tmp_path, capsys, "manifold.basis[0]",
+                            manifold={"x0": [0.0], "basis": [[float("inf")]]})
+
+    @pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), 0.0,
+                                     -1e-6, None, True])
+    def test_tolerance_overrides(self, tmp_path, capsys, bad):
+        self.check_rejected(tmp_path, capsys, "tolerances.cert_tol",
+                            tolerances={"cert_tol": bad})
+        tol_path = tmp_path / "tol.json"
+        tol_path.write_text(json.dumps({"det_tol": bad}))
+        code, _, err = run(capsys, ["witness", write_problem(tmp_path), "--xu", "1",
+                                    "--xv", "-1", "--alpha", "0.5",
+                                    "--tol-config", str(tol_path)])
+        assert code == 2
+        assert "det_tol" in err
+
+    @pytest.mark.parametrize("args", [
+        ["witness", "--xu", "nan", "--xv", "-1", "--alpha", "0.5"],
+        ["witness", "--xu", "1", "--e1=inf,0", "--xv", "-1", "--alpha", "0.5"],
+        ["sample", "--count", "2", "--box", "nan"],
+        ["verify-convexity", "--trials", "5", "--box", "inf"],
+        ["verify-convexity", "--trials", "5", "--rho", "nan"],
+    ])
+    def test_command_line_values(self, tmp_path, capsys, args):
+        path = write_problem(tmp_path)
+        code, _, err = run(capsys, args[:1] + [path] + args[1:])
+        assert code == 2
+        assert "finite" in err

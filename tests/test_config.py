@@ -1,0 +1,24 @@
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+import hckit
+from hckit.config import SearchConfig, ToleranceConfig
+
+
+def _library_source() -> str:
+    package = Path(hckit.__file__).parent
+    return "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                     if path.name != "config.py")
+
+
+@pytest.mark.parametrize("config", [ToleranceConfig, SearchConfig])
+def test_every_field_is_read(config):
+    # a documented threshold that no code path reads is a dead knob
+    source = _library_source()
+    unread = [f.name for f in dataclasses.fields(config)
+              if not re.search(rf"\.{f.name}\b", source)]
+    assert unread == []
+

@@ -191,6 +191,28 @@ class TestPreimage:
             scale = img.coeffs.scale()
             assert np.max(np.abs(hk.eval_map(fmap, x) - target)) <= 1e-6 * scale
 
+    def test_parabola_at_separated_scales(self):
+        # f at 1e8 and g at 0.1: the flat/parabola split weighs each image
+        # polynomial at its own size, and the preimage recovers both
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            base = random_map(rng, 2)
+            fmap = hk.QuadraticMap(
+                hk.QuadraticForm(1e8 * base.f.matrix, 1e8 * base.f.linear,
+                                 1e8 * base.f.constant),
+                hk.QuadraticForm(0.1 * base.g.matrix, 0.1 * base.g.linear,
+                                 0.1 * base.g.constant))
+            xb, yb = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
+            img = hk.classify_line_image(fmap, xb, yb)
+            assert img.kind is LineImageKind.PARABOLA
+            t0 = rng.uniform(-2, 2)
+            target = hk.eval_map(fmap, xb + t0 * (yb - xb))
+            x = hk.preimage_on_line(img, xb, yb, target)
+            np.testing.assert_allclose(x, xb + t0 * (yb - xb), rtol=0, atol=1e-9)
+            co = img.coeffs
+            g_scale = 1 + max(abs(co.alpha_p), abs(co.beta_p), abs(co.gamma_p))
+            assert abs(hk.eval_map(fmap, x)[1] - target[1]) <= 1e-9 * g_scale
+
 
 class TestManifolds:
     def test_identity_restriction(self):

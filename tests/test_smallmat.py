@@ -5,7 +5,7 @@ import pytest
 
 import hckit as hk
 from hckit.errors import InternalNumerics
-from hckit.smallmat import min_norm_solution, singular_values
+from hckit.smallmat import min_norm_solution, quadratic_roots
 
 
 class TestEigh:
@@ -47,10 +47,23 @@ class TestEigh:
             assert np.max(np.abs(orth)) <= 1e-10
             assert np.all(np.diff(dec.eigenvalues) >= 0)
 
-    def test_sweep_cap_raises(self):
-        cfg = hk.DEFAULT_TOLERANCES.with_overrides(jacobi_max_sweeps=0)
-        with pytest.raises(InternalNumerics):
-            hk.eigh([[2.0, 1.0], [1.0, 2.0]], cfg)
+    def test_linalg_error_raises_internal_numerics(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(InternalNumerics, match="did not converge"):
+            hk.eigh([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(InternalNumerics, match="did not converge"):
+            hk.numerical_rank([[2.0, 1.0], [1.0, 2.0]])
+
+    def test_non_finite_input_raises_internal_numerics(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InternalNumerics):
+                hk.eigh([[bad, 0.0], [0.0, 1.0]])
+            with pytest.raises(InternalNumerics):
+                hk.null_space_basis([[bad, 0.0]])
 
 
 class TestNullSpace:
@@ -90,12 +103,23 @@ class TestNullSpace:
         assert hk.numerical_rank(np.eye(3)) == 3
         assert hk.numerical_rank(np.zeros((2, 2))) == 0
 
-    def test_singular_values_match_numpy(self):
-        rng = np.random.default_rng(11)
-        h = rng.uniform(-1, 1, (4, 6))
-        np.testing.assert_allclose(singular_values(h)[:4],
-                                   np.linalg.svd(h, compute_uv=False),
-                                   atol=1e-10)
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-8])
+    def test_small_singular_value_kept(self, ratio):
+        # the documented cut is s > rank_tol * s[0]; squaring the spectrum
+        # through H^T H would cut near sqrt(eps) instead and lose sigma_2
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        h = u @ np.diag([1.0, ratio]) @ v[:, :2].T
+        d = h @ rng.uniform(-1, 1, 3)
+        cut = hk.DEFAULT_TOLERANCES.rank_tol * np.linalg.svd(h, compute_uv=False)[0]
+        rank = np.linalg.matrix_rank(h, tol=cut)
+        assert rank == 2
+        assert hk.numerical_rank(h) == rank
+        manifold = hk.manifold_from_linear_system(h, d)
+        assert manifold.dim == 3 - rank
+        assert np.linalg.norm(h @ manifold.x0 - d) <= 1e-12
+        assert np.max(np.abs(h @ manifold.basis)) <= 1e-12
 
 
 class TestMinNormSolution:
@@ -106,6 +130,22 @@ class TestMinNormSolution:
     def test_empty(self):
         np.testing.assert_array_equal(min_norm_solution(np.zeros((0, 2)), []),
                                       np.zeros(2))
+
+
+class TestQuadraticRoots:
+    def test_two_roots_without_cancellation(self):
+        # t^2 - 1e8 t + 1: the small root 1e-8 is lost to the textbook formula
+        roots = sorted(quadratic_roots(1.0, -1e8, 1.0))
+        assert roots[0] == pytest.approx(1e-8, rel=1e-15)
+        assert roots[1] == pytest.approx(1e8, rel=1e-15)
+
+    def test_degenerate_forms(self):
+        assert quadratic_roots(1.0, 0.0, 1.0) == []
+        assert quadratic_roots(1.0, -2.0, 1.0) == [1.0]
+        assert quadratic_roots(1.0, 0.0, 0.0) == [0.0]
+        assert quadratic_roots(1e-20, 2.0, -4.0) == [2.0]
+        assert quadratic_roots(1e-20, 1e-20, 1.0) == []
+        assert quadratic_roots(0.0, 0.0, 0.0) == []
 
 
 def _grid_min(matrix, linear, constant, radius=10.0, step=1e-3):

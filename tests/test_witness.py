@@ -69,6 +69,17 @@ class TestVerifyCertificate:
                                   Branch.PARABOLA_RAY_HIT, WitnessTrace())
         assert not hk.verify_certificate(fmap, cone, [1.0, 0.0], cert)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x_star", "e_star", "w"])
+    def test_non_finite_never_verifies(self, where, bad):
+        fmap = parabola_map()
+        cone = hk.positive_quadrant()
+        parts = {"x_star": [0.0], "e_star": [1.0, 0.0], "w": [1.0, 0.0]}
+        parts[where][0] = bad
+        cert = WitnessCertificate(np.array(parts["x_star"]), np.array(parts["e_star"]),
+                                  Branch.PARABOLA_RAY_HIT, WitnessTrace())
+        assert not hk.verify_certificate(fmap, cone, parts["w"], cert)
+
 
 class TestPreconditions:
     def test_alpha_bounds(self):
