@@ -47,14 +47,10 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 class SearchConfig:
     """Knobs for the multiplier/counterexample search in :mod:`hckit.slemma`."""
 
-    lambda_max: float = 1e6
-    slack: float = 1e-7
-    strict_margin: float = 1e-10
-    feas_tol: float = 1e-9
-    restarts: int = 64
-    golden_iters: int = 200
-    descent_box: float = 10.0
-    seed: int = 0
+    lambda_max: float = 1e6            # right end of the multiplier bracket
+    slack: float = 1e-7                # dual value >= -slack counts as a multiplier
+    strict_margin: float = 1e-10       # g(x*) < -margin (Slater); f(x) < -margin
+    feas_tol: float = 1e-9             # g(x) <= feas_tol for a counterexample
 
 
 DEFAULT_SEARCH = SearchConfig()

@@ -20,7 +20,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
                      NoRealRoot, NotOnImage)
-from .smallmat import min_norm_solution, null_space_basis, symmetrize
+from .smallmat import _min_norm, _svd, symmetrize
 
 
 @dataclass(frozen=True)
@@ -418,8 +418,10 @@ def manifold_from_linear_system(matrix, rhs, tol: float | None = None,
                                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> AffineManifold:
     """Solution set of ``H x = d`` as an affine manifold.
 
-    ``x0`` is the minimum-norm solution; the basis spans ``ker H``.  An
-    inconsistent system (residual beyond ``tol * (1 + |d|)``) raises
+    ``x0`` is the minimum-norm solution and the basis spans ``ker H``, both
+    from one SVD ``H = U diag(s) V^T``.  A system whose residual exceeds the
+    backward-error bound ``tol * (|d| + s[0] |x0|)`` (no relative change of
+    size ``tol`` in ``H`` and ``d`` makes ``x0`` exact) raises
     :class:`InconsistentSystem`.  A 0-row ``H`` encodes "no constraints".
     """
     if tol is None:
@@ -433,8 +435,10 @@ def manifold_from_linear_system(matrix, rhs, tol: float | None = None,
         raise DimensionMismatch(f"rhs has length {d.shape[0]}, H has {m} rows")
     if m == 0:
         return AffineManifold(np.zeros(n), np.eye(n))
-    x0 = min_norm_solution(h, d, tol, cfg)
+    svd = _svd(h, tol, cfg)
+    _, s, vt, rank = svd
+    x0 = _min_norm(svd, d)
     resid = float(np.linalg.norm(h @ x0 - d))
-    if resid > tol * (1.0 + float(np.linalg.norm(d))):
+    if resid > tol * (float(np.linalg.norm(d)) + s[0] * float(np.linalg.norm(x0))):
         raise InconsistentSystem(f"H x = d is inconsistent (residual {resid:.3e})")
-    return AffineManifold(x0, null_space_basis(h, tol, cfg))
+    return AffineManifold(x0, vt[rank:].T.copy())

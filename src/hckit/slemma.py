@@ -3,13 +3,15 @@
 Under a strict feasibility point ``g(x*) < 0``, exactly one of the following
 holds: the system ``{f < 0, g <= 0}`` has no solution, or it has one; the
 first case is equivalent to the existence of a multiplier ``lambda >= 0``
-with ``f + lambda g >= 0`` everywhere.  ``decide`` searches for either
-certificate: it maximizes the concave dual value
-``lambda -> inf_x (f + lambda g)(x)`` by bracketing plus golden-section
-search (with a derivative-sign bisection polish, since value-only search
-cannot localize a smooth maximum past ~sqrt(eps)), and otherwise hunts for a
-feasible point by penalized multistart descent.  ``Undecided`` is an honest
-third verdict when the budget runs out; a wrong verdict is never returned.
+with ``f + lambda g >= 0`` everywhere.  ``decide`` brackets the argmax of
+the concave dual ``d = inf_x (f + lambda g)``, keeping one point on each side
+of ``g = 0``: each gives a supporting line ``f(x) + lambda g(x) >= d``, and
+the lines meet (the next step) at the ``f``-value where the segment between
+the two image points crosses ``g = 0``.  Below ``-slack`` that bound yields
+the counterexample, the witness on the segment with the cone ``R^2_+``
+(``F(R^n) + R^2_+`` is convex).  The collapsed bracket gives the multiplier,
+or, where ``d = -inf``, a closed-form walk from ``x*``.  ``Undecided`` is an
+honest third verdict; a wrong verdict is never returned.
 
 A grid oracle (exact feasibility scan over a uniform grid, evaluated in
 closed form one axis at a time) provides an independent cross-check at desk
@@ -23,13 +25,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
+from .cone2d import positive_quadrant
 from .config import (DEFAULT_SEARCH, DEFAULT_TOLERANCES, SearchConfig,
                      ToleranceConfig)
-from .errors import DimensionTooLarge, SlaterViolated
-from .quadmap import QuadraticForm
+from .errors import DimensionTooLarge, NumericalBreakdown, SlaterViolated
+from .quadmap import QuadraticForm, QuadraticMap
 from .smallmat import MinResult, min_of_quadratic, quadratic_roots
+from .witness import cone_point, witness_convex_combination
 
 
 class Outcome(enum.Enum):
@@ -72,90 +75,118 @@ def _parts(q: QuadraticForm):
     return q.matrix, q.linear, q.constant
 
 
+def _along(q: QuadraticForm, x: np.ndarray, v: np.ndarray):
+    """Coefficients ``(a, b, c)`` of ``q(x + s v) = a s^2 + b s + c``."""
+    return (float(v @ q.matrix @ v),
+            float((2.0 * (q.matrix @ x) + q.linear) @ v), q(x))
+
+
+def _first_reach(q: QuadraticForm, x: np.ndarray, v: np.ndarray, target: float,
+                 downhill: QuadraticForm) -> np.ndarray | None:
+    """First point of the ray ``x + s v``, ``s > 0``, where ``q`` equals
+    ``target``; ``v`` is first flipped if ``downhill`` rises along it."""
+    if _along(downhill, x, v)[1] > 0.0:
+        v = -v
+    a, b, c = _along(q, x, v)
+    steps = [s for s in quadratic_roots(a, b, c - target) if s > 0.0]
+    return x + min(steps) * v if steps else None
+
+
+@dataclass
+class _Point:
+    x: np.ndarray
+    f: float
+    g: float
+
+
 @dataclass
 class _DualSearch:
-    best_lambda: float | None
-    best_value: float
-    samples: list[tuple[float, float]]
-    minimizers: list[tuple[float, np.ndarray]]
+    f: QuadraticForm
+    g: QuadraticForm
+    lo: float
+    hi: float
+    above: _Point | None = None    # g > 0: its line increases in lambda
+    below: _Point | None = None    # g <= 0
+    best_lambda: float | None = None
+    best_value: float = -math.inf
+    samples: list[tuple[float, float]] = field(default_factory=list)
+    final: tuple[float, MinResult] | None = None  # probe at the collapsed bracket
 
-
-def _maximize_dual(f: QuadraticForm, g: QuadraticForm,
-                   search: SearchConfig, cfg: ToleranceConfig) -> _DualSearch:
-    samples: list[tuple[float, float]] = []
-    minimizers: list[tuple[float, np.ndarray]] = []
-
-    def probe(lam: float) -> float:
-        res: MinResult = min_of_quadratic(*_parts(combine(f, g, lam)), cfg)
-        val = res.value if res.bounded else -math.inf
-        samples.append((lam, val))
-        if res.bounded and res.minimizer is not None:
-            minimizers.append((lam, res.minimizer))
-        return val
-
-    # geometric ladder to locate the finite region of the concave dual
-    ladder = [0.0]
-    step = 2.0 ** -10
-    while step < search.lambda_max:
-        ladder.append(step)
-        step *= 2.0
-    ladder.append(search.lambda_max)
-    values = [probe(lam) for lam in ladder]
-    best_idx = int(np.argmax(values))
-    best_lam, best_val = ladder[best_idx], values[best_idx]
-    if not math.isfinite(best_val):
-        return _DualSearch(None, -math.inf, samples, minimizers)
-
-    lo = ladder[best_idx - 1] if best_idx > 0 else 0.0
-    hi = ladder[best_idx + 1] if best_idx + 1 < len(ladder) else search.lambda_max
-
-    # golden-section shrink; a -inf tie keeps the side holding the best point
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(search.golden_iters):
-        if hi - lo <= 1e-12 * (1.0 + hi):
-            break
-        for x, v in ((x1, f1), (x2, f2)):
-            if v > best_val:
-                best_lam, best_val = x, v
-        if f1 < f2 or (f1 == f2 and best_lam >= x1):
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = probe(x2)
+    def keep(self, x: np.ndarray) -> None:
+        point = _Point(x, self.f(x), self.g(x))
+        if point.g > 0.0:
+            self.above = point
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = probe(x1)
+            self.below = point
 
-    # derivative polish: the slope of the dual value is g at the inner
-    # minimizer, so a sign bisection pins the argmax to machine precision
-    def slope(lam: float) -> float | None:
-        res: MinResult = min_of_quadratic(*_parts(combine(f, g, lam)), cfg)
-        if not res.bounded or res.minimizer is None:
-            return None
-        return g(res.minimizer)
+    def crossing(self) -> tuple[float, float]:
+        """``(lambda, value)`` where the two kept lines meet."""
+        a, b = self.above, self.below
+        lam = (b.f - a.f) / (a.g - b.g)
+        return lam, b.f + lam * b.g
 
-    span = max(hi - lo, 1e-9 * (1.0 + best_lam))
-    a = max(0.0, best_lam - span)
-    b = min(search.lambda_max, best_lam + span)
-    da, db = slope(a), slope(b)
-    if da is not None and db is not None and da > 0.0 > db:
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            dm = slope(mid)
-            if dm is None:
-                break
-            if dm > 0.0:
-                a = mid
-            else:
-                b = mid
-        lam_polished = 0.5 * (a + b)
-        val_polished = probe(lam_polished)
-        if val_polished >= best_val:
-            best_lam, best_val = lam_polished, val_polished
-    return _DualSearch(best_lam, best_val, samples, minimizers)
+    def upper(self) -> float:
+        """Upper bound on ``sup d(lambda)`` over all ``lambda >= 0``."""
+        if self.below is None:
+            return math.inf
+        if self.above is None:
+            return self.below.f
+        return min(self.below.f, self.crossing()[1])
+
+    def probe(self, lam: float, search: SearchConfig,
+              cfg: ToleranceConfig) -> MinResult:
+        """Evaluate the dual at ``lam``; move the bracket and keep a point."""
+        h = combine(self.f, self.g, lam)
+        res = min_of_quadratic(*_parts(h), cfg)
+        self.samples.append((lam, res.value if res.bounded else -math.inf))
+        if res.bounded:
+            if res.value > self.best_value:
+                self.best_lambda, self.best_value = lam, res.value
+            self.keep(res.minimizer)
+            side = self.g(res.minimizer)  # the dual's slope
+        else:
+            # h -> -inf along v and f + l g = h - (lam - l) g, so if g grows
+            # along v (by curvature, else slope) d = -inf for every l < lam
+            v = res.direction
+            curvature, slope, _ = _along(self.g, (self.below or self.above).x, v)
+            side = curvature or slope
+            # from the kept point on the side g leaves, the ray on which h
+            # falls crosses g = 0 with f under that point's line at lam
+            start = self.below if side > 0.0 else self.above
+            x = None if start is None else _first_reach(self.g, start.x, v, 0.0, h)
+            if x is not None and abs(self.g(x)) <= search.feas_tol:
+                self.keep(x)
+        if side > 0.0:
+            self.lo = lam
+        elif side < 0.0:
+            self.hi = lam
+        else:
+            self.lo = self.hi = lam
+        return res
+
+
+def _search(f: QuadraticForm, g: QuadraticForm, x0, search: SearchConfig,
+            cfg: ToleranceConfig, stop_below: float) -> _DualSearch:
+    """Bracket the dual's argmax in ``[0, lambda_max]`` to 1e-12 relative,
+    then probe the midpoint into ``final``; stop early once the upper bound
+    is below ``stop_below``."""
+    state = _DualSearch(f, g, 0.0, search.lambda_max)
+    state.keep(np.asarray(x0, dtype=float).reshape(-1))
+    last_width = math.inf
+    while state.hi - state.lo > 1e-12 * (1.0 + state.hi):
+        if state.upper() < stop_below:
+            return state
+        width = state.hi - state.lo
+        lam = 0.5 * (state.lo + state.hi)
+        if state.above and state.below and width <= 0.5 * last_width:
+            cross = state.crossing()[0]   # a Kelley step, while it halves
+            if state.lo < cross < state.hi:
+                lam = cross
+        last_width = width
+        state.probe(lam, search, cfg)
+    lam = 0.5 * (state.lo + state.hi)
+    state.final = (lam, state.probe(lam, search, cfg))
+    return state
 
 
 def dual_lower_bound(f: QuadraticForm, g: QuadraticForm,
@@ -164,83 +195,27 @@ def dual_lower_bound(f: QuadraticForm, g: QuadraticForm,
     """Best dual value found; by weak duality a lower bound on
     ``inf {f(x) : g(x) <= 0}`` whenever that set is nonempty (``-inf`` if the
     dual is nowhere finite on the searched range)."""
-    return _maximize_dual(f, g, search, cfg).best_value
+    return _search(f, g, np.zeros(f.n), search, cfg, -math.inf).best_value
 
 
-def _constraint_descent_point(g: QuadraticForm, x: np.ndarray,
-                              target: float) -> np.ndarray | None:
-    """Nearest point along ``-grad g`` where ``g`` drops to ``target``.
-
-    ``g`` restricted to the ray is an exact quadratic, so the step is a
-    closed-form root.
-    """
-    grad = 2.0 * (g.matrix @ x) + g.linear
-    norm = float(np.linalg.norm(grad))
-    if norm <= 1e-14 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
+def _segment_counterexample(state: _DualSearch,
+                            cfg: ToleranceConfig) -> np.ndarray | None:
+    """A point with ``f`` at most the kept segment's value at ``g = 0`` and
+    ``g <= 0``: the ``g <= 0`` end when no lower, else the witness for that
+    mix with the cone ``R^2_+``."""
+    a, b = state.above, state.below
+    alpha = 0.0 if a is None else b.g / (b.g - a.g)  # a's weight at g = 0
+    if alpha <= 0.0 or b.f <= state.crossing()[1]:
+        return b.x
+    if alpha >= 1.0:   # a's g is at rounding level against b's
+        return a.x
+    fmap, cone, zero = QuadraticMap(state.f, state.g), positive_quadrant(), np.zeros(2)
+    try:
+        return witness_convex_combination(
+            fmap, cone, cone_point(fmap, cone, a.x, zero, cfg),
+            cone_point(fmap, cone, b.x, zero, cfg), alpha, cfg).x_star
+    except NumericalBreakdown:
         return None
-    d = -grad / norm
-    a = float(d @ g.matrix @ d)
-    b = float(grad @ d)  # = -norm
-    c = g(x) - target
-    etas = [e for e in quadratic_roots(a, b, c) if e >= 0.0]
-    if not etas:
-        return None
-    return x + min(etas) * d
-
-
-def _search_counterexample(f: QuadraticForm, g: QuadraticForm, x_star,
-                           warm_starts: list[np.ndarray],
-                           search: SearchConfig,
-                           cfg: ToleranceConfig) -> np.ndarray | None:
-    n = f.n
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-
-    def feasible(x: np.ndarray) -> bool:
-        return g(x) <= search.feas_tol and f(x) < -search.strict_margin
-
-    def accept(x: np.ndarray) -> np.ndarray | None:
-        if feasible(x):
-            return x
-        if g(x) > 0.0:
-            # pull back inside the constraint along its steepest descent;
-            # g is quadratic on the ray so each target is one closed form
-            for target in (-1e-9, -1e-6, -1e-3):
-                cand = _constraint_descent_point(g, x, target)
-                if cand is not None and feasible(cand):
-                    return cand
-        # last resort: slide toward the strictly feasible point
-        for th in np.linspace(0.0, 1.0, 65)[1:]:
-            cand = x + th * (x_star - x)
-            if feasible(cand):
-                return cand
-        return None
-
-    rng = np.random.default_rng(search.seed)
-    randoms = rng.uniform(-search.descent_box, search.descent_box,
-                          size=(search.restarts, n))
-    starts = list(warm_starts) + [randoms[i] for i in range(search.restarts)]
-
-    for x0 in starts:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        for penalty in (1e1, 1e3, 1e6):
-            def objective(xv, _p=penalty):
-                viol = max(g(xv), 0.0)
-                return f(xv) + _p * viol * viol
-
-            def gradient(xv, _p=penalty):
-                viol = max(g(xv), 0.0)
-                grad = 2.0 * (f.matrix @ xv) + f.linear
-                if viol > 0.0:
-                    grad = grad + _p * 2.0 * viol * (2.0 * (g.matrix @ xv) + g.linear)
-                return grad
-
-            res = _scipy_minimize(objective, x, jac=gradient, method="BFGS",
-                                  options={"maxiter": 200})
-            x = res.x
-            found = accept(x)
-            if found is not None:
-                return found
-    return None
 
 
 def decide(f: QuadraticForm, g: QuadraticForm, x_star,
@@ -250,20 +225,34 @@ def decide(f: QuadraticForm, g: QuadraticForm, x_star,
 
     The verdict is always self-checking: ``MultiplierFound`` re-evaluates the
     dual value at the returned multiplier, and ``CounterexampleFound`` only
-    returns points satisfying both inequalities by direct evaluation.
+    returns points satisfying both inequalities by direct evaluation.  A
+    multiplier takes precedence: a counterexample is sought only once the
+    dual's upper bound, or its best value at the end, is below ``-slack``.
     """
     if not slater_check(g, x_star, search):
         raise SlaterViolated("g(x*) is not strictly negative")
-    dual = _maximize_dual(f, g, search, cfg)
-    if dual.best_lambda is not None and dual.best_value >= -search.slack:
-        return SLemmaVerdict(Outcome.MULTIPLIER_FOUND, lam=dual.best_lambda,
-                             diagnostics=dual.samples)
-    warm = [x for _, x in dual.minimizers[-8:]]
-    x = _search_counterexample(f, g, x_star, warm, search, cfg)
-    if x is not None:
+    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    state = _search(f, g, x_star, search, cfg, -search.slack)
+    lam, final = state.final or (None, None)
+    if final is not None:
+        if not (final.bounded and final.value >= -search.slack):
+            # the midpoint can fall just past the psd_tol band that
+            # min_of_quadratic counts as bounded, next to a probe inside it
+            lam = state.best_lambda if state.best_value >= -search.slack else None
+        if lam is not None:
+            return SLemmaVerdict(Outcome.MULTIPLIER_FOUND, lam=lam,
+                                 diagnostics=state.samples)
+    if final is None or final.bounded or state.upper() < -search.slack:
+        x = _segment_counterexample(state, cfg)
+    else:
+        # d = -inf at the collapsed bracket: walk from x* along its descent
+        # direction, turned so that g does not rise, until f is below zero
+        f0 = f(x_star)
+        x = _first_reach(f, x_star, final.direction, f0 - (1.0 + abs(f0)), g)
+    if x is not None and g(x) <= search.feas_tol and f(x) < -search.strict_margin:
         return SLemmaVerdict(Outcome.COUNTEREXAMPLE_FOUND, x_witness=x,
-                             diagnostics=dual.samples)
-    return SLemmaVerdict(Outcome.UNDECIDED, diagnostics=dual.samples)
+                             diagnostics=state.samples)
+    return SLemmaVerdict(Outcome.UNDECIDED, diagnostics=state.samples)
 
 
 # ---------------------------------------------------------------------------

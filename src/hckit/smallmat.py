@@ -111,7 +111,12 @@ def min_norm_solution(matrix, rhs, tol: float | None = None,
     zero.  Does not check consistency; callers compare the residual
     themselves.
     """
-    u, s, vt, rank = _svd(matrix, tol, cfg)
+    return _min_norm(_svd(matrix, tol, cfg), rhs)
+
+
+def _min_norm(svd, rhs) -> np.ndarray:
+    """The pseudoinverse solve ``V_r diag(1/s_r) U_r^T d`` from :func:`_svd`."""
+    u, s, vt, rank = svd
     d = np.asarray(rhs, dtype=float).reshape(-1)
     return vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
 
@@ -137,7 +142,9 @@ def min_of_quadratic(matrix, linear, constant: float,
 
     Bounded requires ``M`` PSD up to ``cfg.psd_tol`` and ``m`` in the range
     of ``M`` up to ``cfg.range_tol``; the infimum is then
-    ``m0 - (1/4) m^T M^+ m``, attained where ``M x = -m/2``.  Otherwise a
+    ``m0 - (1/4) m^T M^+ m``, attained where ``M x = -m/2``.  Eigenvalues
+    count as zero only up to ``eigh``'s rounding level, so a small positive
+    one keeps its term and the value is not overstated.  Otherwise a
     certified descent direction is returned: either an eigenvector with
     negative eigenvalue, or a kernel direction along which the linear term
     decreases.
@@ -151,7 +158,9 @@ def min_of_quadratic(matrix, linear, constant: float,
     if lam[0] < -cfg.psd_tol * scale:
         return MinResult(bounded=False, direction=vecs[:, 0].copy())
     coords = vecs.T @ mvec
-    near_null = np.abs(lam) <= cfg.psd_tol * scale
+    # eigenvalues from -psd_tol*scale up to eigh's rounding level count as
+    # zero; every larger one, however small, keeps its term
+    near_null = lam <= lam.size * np.finfo(float).eps * scale
     resid = float(np.linalg.norm(coords[near_null])) if np.any(near_null) else 0.0
     if resid > cfg.range_tol * (1.0 + float(np.linalg.norm(mvec))):
         idx = int(np.argmax(np.where(near_null, np.abs(coords), -np.inf)))

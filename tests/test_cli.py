@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hckit
 from hckit import cli
 from hckit.problemio import parse_problem
 
@@ -424,3 +429,13 @@ class TestNonFiniteInput:
         code, _, err = run(capsys, args[:1] + [path] + args[1:])
         assert code == 2
         assert "finite" in err
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only dependency; scipy.optimize alone cost more than half
+    # of a cold start
+    env = dict(os.environ, PYTHONPATH=str(Path(hckit.__file__).resolve().parents[1]))
+    code = "import sys, hckit, hckit.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "scipy was imported"

@@ -270,6 +270,20 @@ class TestManifolds:
         np.testing.assert_allclose(sym.x0, [1.0, 1.0], atol=1e-9)
         assert abs(sym.basis[0, 0] + sym.basis[1, 0]) <= 1e-9
 
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-8, 1e-9])
+    def test_consistent_along_small_singular_value(self, ratio):
+        # d has an O(1) part along the small singular direction, so x0 is
+        # about 1/ratio long and the residual scales with |H| |x0|, not |d|
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        h = u @ np.diag([1.0, ratio]) @ v[:, :2].T
+        d = u[:, 0] + u[:, 1]
+        manifold = hk.manifold_from_linear_system(h, d)
+        assert manifold.dim == 1
+        assert np.linalg.norm(h @ manifold.x0 - d) <= 1e-6
+        assert np.max(np.abs(h @ manifold.basis)) <= 1e-12
+
     def test_inconsistent_system(self):
         with pytest.raises(InconsistentSystem):
             hk.manifold_from_linear_system([[1.0, 1.0], [1.0, 1.0]], [0.0, 1.0])

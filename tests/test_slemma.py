@@ -14,6 +14,22 @@ def form1(mat, lin, const):
     return hk.QuadraticForm([[mat]], [lin], const)
 
 
+def thin_margin_instance(rng, n: int):
+    """``f = S - lam0 g`` with ``S = r^T r`` of rank ``n - 1`` and ``min S >= 0``.
+
+    ``lam0`` is a multiplier, and ``f + lam0 g = S`` is singular: the PSD
+    cone is touched with no eigenvalue margin.
+    """
+    _, g, x_star = slater_instance(rng, n)
+    lam0 = rng.uniform(0.1, 3.0)
+    r = rng.uniform(-1.5, 1.5, size=(n - 1, n))
+    s = r.T @ r
+    z = rng.uniform(-2.0, 2.0, n)
+    f = hk.QuadraticForm(s - lam0 * g.matrix, -2.0 * s @ z - lam0 * g.linear,
+                         z @ s @ z + rng.uniform(0.0, 1.0) - lam0 * g.constant)
+    return f, g, x_star
+
+
 class TestSlaterCheck:
     def test_linear(self):
         assert hk.slater_check(form1(0, 1, 0), [-1.0])
@@ -85,6 +101,16 @@ class TestDecide:
         verdict = hk.decide(form1(1, 0, 0), form1(0, 1, -1), [0.0])
         assert len(verdict.diagnostics) > 3
         assert all(lam >= 0 for lam, _ in verdict.diagnostics)
+
+    def test_thin_margin_multiplier(self):
+        # the dual is finite only on a narrow interval next to lam0; a search
+        # that steps over it ends Undecided
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            f, g, xs = thin_margin_instance(rng, 1 + i % 3)
+            verdict = hk.decide(f, g, xs)
+            assert verdict.outcome is Outcome.MULTIPLIER_FOUND, i
+            assert hk.dual_value(f, g, verdict.lam) >= -DEFAULT_SEARCH.slack
 
     def test_multiplier_self_check(self):
         rng = np.random.default_rng(71)

@@ -180,6 +180,25 @@ def _grid_min(matrix, linear, constant, radius=10.0, step=1e-3):
 
 
 class TestMinOfQuadratic:
+    @pytest.mark.parametrize("c", [5e-9, 1e-3])
+    def test_small_positive_eigenvalue_keeps_its_term(self, c):
+        # 1e-12 lies inside the psd_tol band but is positive: the quadratic
+        # is bounded, and dropping the term would overstate its infimum
+        lam = 1e-12
+        res = hk.min_of_quadratic(np.diag([1.0, lam]), [0.0, c], 0.0)
+        assert res.bounded
+        assert res.value == pytest.approx(-c * c / (4.0 * lam), rel=1e-9)
+        np.testing.assert_allclose(res.minimizer, [0.0, -c / (2.0 * lam)], rtol=1e-9)
+
+    def test_rounding_level_eigenvalue_counts_as_zero(self):
+        # H = [[1, 1], [1, 1]] is singular; its kernel direction with a
+        # linear term along it is a descent direction whatever sign eigh
+        # gives the zero eigenvalue
+        res = hk.min_of_quadratic([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], 0.0)
+        assert not res.bounded
+        np.testing.assert_allclose(abs(res.direction @ [1.0, -1.0]), np.sqrt(2.0))
+        assert res.direction @ [1.0, -1.0] < 0
+
     def test_shifted_parabola(self):
         res = hk.min_of_quadratic(np.eye(1), [-2.0], 0.0)
         assert res.bounded
