@@ -47,10 +47,6 @@ class NotOnImage(HckError):
     """Target point does not lie on the classified image set."""
 
 
-class NoRealRoot(HckError):
-    """Internal inconsistency: payload admits no real parameter root."""
-
-
 class InconsistentSystem(HckError):
     """Linear system H x = d has no solution within tolerance."""
 

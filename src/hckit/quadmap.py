@@ -1,10 +1,11 @@
 """Pairs of quadratic functions as maps into the plane.
 
 The central operation classifies the image of a straight line under
-``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.  For
-the parabola case the implicit conic equation is recovered together with an
-affine inverse parametrization, which makes preimages of image points exact
-one-dimensional solves.  Restriction to affine manifolds ``x0 + range(K)``
+``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.
+Preimages of image points come from the two image polynomials alone: one
+scalar solve for the line parameter and one residual test per image
+coordinate.  For the parabola case the implicit conic equation is recovered
+too, for reporting.  Restriction to affine manifolds ``x0 + range(K)``
 yields another quadratic map, so every operation transfers.
 """
 
@@ -19,8 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
-                     NoRealRoot, NotOnImage)
-from .smallmat import _min_norm, _svd, symmetrize
+                     NotOnImage)
+from .smallmat import _min_norm, _svd, quadratic_roots, symmetrize
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,17 @@ class LineCoeffs:
     def scale(self) -> float:
         return 1.0 + float(np.max(np.abs(self.as_array())))
 
+    def row(self, k: int) -> tuple[float, float, float]:
+        """Coefficients ``(a, b, c)`` of image coordinate ``k`` (0: f, 1: g)."""
+        if k == 0:
+            return self.alpha, self.beta, self.gamma
+        return self.alpha_p, self.beta_p, self.gamma_p
+
+    def at(self, t: float) -> tuple[float, float]:
+        """The image point ``(P_f(t), P_g(t))``, in Horner form."""
+        return ((self.alpha * t + self.beta) * t + self.gamma,
+                (self.alpha_p * t + self.beta_p) * t + self.gamma_p)
+
 
 def _check_distinct(xbar, ybar, cfg: ToleranceConfig):
     xb = np.asarray(xbar, dtype=float).reshape(-1)
@@ -161,10 +173,11 @@ class LineImage:
     * RAY: ``apex``, unit-free ``ray_direction`` (points away from the apex),
       plus the pivot polynomial index used for parameter recovery.
     * LINE: ``line_point`` and ``line_direction`` (exact parametrization by
-      the linear coefficients).
-    * PARABOLA: PSD-normalized implicit ``conic`` together with the affine
-      parameter map ``t = (t_row . u - t_offset) / t_slope`` valid for every
-      image point ``u``.
+      the linear coefficients), plus the pivot polynomial index.
+    * PARABOLA: the affine parameter map
+      ``t = (t_row . u - t_offset) / t_slope`` valid for every image point
+      ``u``, the coordinate ``swap`` says it shears away, and the
+      PSD-normalized implicit ``conic`` (reported, not used for solves).
     """
 
     kind: LineImageKind
@@ -179,13 +192,24 @@ class LineImage:
     t_slope: float | None = None
     t_offset: float | None = None
     pivot: int = 0
-    t_vertex: float = 0.0
     swap: bool = False
 
     def parameter_of(self, target) -> float:
         """Line parameter of an image point (parabola payload only)."""
         u = np.asarray(target, dtype=float).reshape(2)
         return (float(self.t_row @ u) - self.t_offset) / self.t_slope
+
+    def side(self, target) -> float:
+        """Side of a point against the parabola, negative strictly inside.
+
+        This is the implicit equation evaluated unexpanded,
+        ``sign(a_q) * (P_q(t(u)) - u_q)`` with ``q`` the coordinate whose
+        polynomial the parameter map shears away (parabola payload only).
+        """
+        u = np.asarray(target, dtype=float).reshape(2)
+        q = 1 if self.swap else 0
+        return math.copysign(1.0, self.coeffs.row(q)[0]) * (
+            self.coeffs.at(self.parameter_of(u))[q] - u[q])
 
 
 def classify_line_image(fmap: QuadraticMap, xbar, ybar,
@@ -204,8 +228,8 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     one and eliminating the parameter.
     """
     co = line_coeffs(fmap, xbar, ybar, cfg)
-    al, be, ga = co.alpha, co.beta, co.gamma
-    alp, bep, gap = co.alpha_p, co.beta_p, co.gamma_p
+    al, be, ga = co.row(0)
+    alp, bep, gap = co.row(1)
     row_f = max(abs(al), abs(be))
     row_g = max(abs(alp), abs(bep))
     det2 = al * bep - alp * be
@@ -216,12 +240,8 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     if abs(det2) <= cfg.det_tol * row_f * row_g:
         # proportional rows: pivot on the larger pair for stability
         pivot = 0 if row_f >= row_g else 1
-        if pivot == 0:
-            a1, b1, c1 = al, be, ga
-            a2, b2, c2 = alp, bep, gap
-        else:
-            a1, b1, c1 = alp, bep, gap
-            a2, b2, c2 = al, be, ga
+        a1, b1, c1 = co.row(pivot)
+        a2, b2, c2 = co.row(1 - pivot)
         k = (a1 * a2 + b1 * b2) / (a1 * a1 + b1 * b1)
         if abs(a1) <= cfg.det_tol * max(abs(a1), abs(b1)):
             return LineImage(
@@ -241,17 +261,13 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
         return LineImage(
             LineImageKind.RAY, co,
             apex=apex_piv, ray_direction=dir_piv,
-            pivot=pivot, t_vertex=float(t_v),
+            pivot=pivot,
         )
 
     # parabola: shear using the larger quadratic coefficient
     swap = abs(al) < abs(alp)
-    if swap:
-        qa, qb, qc = alp, bep, gap
-        la, lb, lc = al, be, ga
-    else:
-        qa, qb, qc = al, be, ga
-        la, lb, lc = alp, bep, gap
+    qa, qb, qc = co.row(int(swap))
+    la, lb, lc = co.row(int(not swap))
     k = la / qa
     slope = lb - k * qb          # nonzero exactly because det2 != 0
     offset = lc - k * qc
@@ -276,14 +292,13 @@ def _polish_parameter(co: LineCoeffs, t: float, target: np.ndarray,
                       steps: int = 2) -> float:
     """Gauss-Newton refinement of the line parameter against a 2-d target."""
     for _ in range(steps):
-        val = np.array([(co.alpha * t + co.beta) * t + co.gamma,
-                        (co.alpha_p * t + co.beta_p) * t + co.gamma_p])
-        jac = np.array([2.0 * co.alpha * t + co.beta,
-                        2.0 * co.alpha_p * t + co.beta_p])
-        denom = float(jac @ jac)
+        p0, p1 = co.at(t)
+        j0 = 2.0 * co.alpha * t + co.beta
+        j1 = 2.0 * co.alpha_p * t + co.beta_p
+        denom = j0 * j0 + j1 * j1
         if denom == 0.0:
             break
-        t -= float(jac @ (val - target)) / denom
+        t -= (j0 * (p0 - target[0]) + j1 * (p1 - target[1])) / denom
     return t
 
 
@@ -292,70 +307,44 @@ def preimage_on_line(img: LineImage, xbar, ybar, target,
     """Point on the original line that ``F`` maps (near) the target.
 
     ``xbar`` and ``ybar`` must be the same endpoints the image was classified
-    from.  The target has to lie on the image set within the on-curve
-    tolerance, otherwise :class:`NotOnImage` is raised.  For a parabola the
-    parameter is the affine inverse map (unique); for rays and lines a scalar
-    quadratic/linear solve on the pivot coordinate picks the root of smaller
-    magnitude.
+    from.  Guesses for the line parameter come from the image polynomials:
+    the affine inverse map of a parabola (unique), the roots of the pivot
+    polynomial set to the target's coordinate for a ray or a line (smaller
+    magnitude first, then a ray's vertex, so that its apex keeps a parameter
+    when rounding leaves no real root), and ``t = 0`` for a point.  Each
+    guess is polished by Gauss-Newton unless that raises its miss, and the
+    first whose image meets every coordinate to ``on_tol`` relative to that
+    polynomial's own size, ``|P_k(t) - u_k| <= on_tol * (1 + max|coeffs_k|
+    + |u_k|)``, is returned; if none does, :class:`NotOnImage` is raised.
     """
     xb, yb = _check_distinct(xbar, ybar, cfg)
     u = np.asarray(target, dtype=float).reshape(2)
     co = img.coeffs
-    scale = co.scale() + float(np.max(np.abs(u)))
-
-    if img.kind is LineImageKind.POINT:
-        if float(np.max(np.abs(u - img.point))) > cfg.on_tol * scale:
-            raise NotOnImage("target differs from the single image point")
-        return xb.copy()
-
     if img.kind is LineImageKind.PARABOLA:
-        resid = img.conic.evaluate(u)
-        psi_scale = img.conic.coefficient_scale() * (1.0 + float(np.max(np.abs(u)))) ** 2
-        if abs(resid) > cfg.on_tol * psi_scale:
-            raise NotOnImage(f"target is off the parabola (psi = {resid:.3e})")
-        t = img.parameter_of(u)
-        t = _polish_parameter(co, t, u)
-        return xb + t * (yb - xb)
+        guesses = [img.parameter_of(u)]
+    elif img.kind is LineImageKind.POINT:
+        guesses = [0.0]
+    else:
+        a, b, c = co.row(img.pivot)
+        guesses = sorted(quadratic_roots(a, b, c - u[img.pivot]), key=abs)
+        if img.kind is LineImageKind.RAY:
+            guesses.append(-b / (2.0 * a))
+    bounds = [cfg.on_tol * (1.0 + max(map(abs, co.row(k))) + abs(u[k]))
+              for k in (0, 1)]
 
-    if img.kind is LineImageKind.LINE:
-        d = img.line_direction
-        rel = u - img.line_point
-        cross = abs(rel[0] * d[1] - rel[1] * d[0]) / float(np.linalg.norm(d))
-        if cross > cfg.on_tol * scale:
-            raise NotOnImage("target is off the image line")
-        idx = 0 if abs(d[0]) >= abs(d[1]) else 1
-        t = rel[idx] / d[idx]
-        t = _polish_parameter(co, t, u)
-        return xb + t * (yb - xb)
+    def miss(t: float) -> float:   # worst coordinate miss, in its bounds
+        return max(abs(p - u[k]) / bounds[k] for k, p in enumerate(co.at(t)))
 
-    # ray
-    d = img.ray_direction
-    dn = float(np.linalg.norm(d))
-    rel = u - img.apex
-    along = float(rel @ d) / (dn * dn)
-    perp = abs(rel[0] * d[1] - rel[1] * d[0]) / dn
-    if perp > cfg.on_tol * scale or along * dn < -cfg.on_tol * scale:
-        raise NotOnImage("target is off the image ray")
-    piv = img.pivot
-    a1 = co.alpha if piv == 0 else co.alpha_p
-    b1 = co.beta if piv == 0 else co.beta_p
-    c1 = co.gamma if piv == 0 else co.gamma_p
-    s_target = u[piv]
-    disc = b1 * b1 - 4.0 * a1 * (c1 - s_target)
-    if disc < 0.0:
-        if disc < -cfg.on_tol * scale * scale:
-            raise NoRealRoot("pivot solve has no real root for an on-ray target")
-        disc = 0.0
-    sq = math.sqrt(disc)
-    q = -0.5 * (b1 + math.copysign(sq, b1))
-    roots = [q / a1] if q != 0.0 else [0.0]
-    if q != 0.0 and (c1 - s_target) != 0.0:
-        roots.append((c1 - s_target) / q)
-    elif q != 0.0:
-        roots.append(0.0)
-    t = min(roots, key=abs)
-    t = _polish_parameter(co, t, u)
-    return xb + t * (yb - xb)
+    nearest = math.inf
+    for guess in guesses:
+        # at a vertex or on a point image the derivative is rounding noise,
+        # and a Gauss-Newton step there can throw a good guess away
+        t = min(guess, _polish_parameter(co, guess, u), key=miss)
+        nearest = min(nearest, miss(t))
+        if nearest <= 1.0:
+            return xb + t * (yb - xb)
+    raise NotOnImage(f"target is off the {img.kind.value.lower()} image "
+                     f"({nearest:.3e} times the on-curve tolerance)")
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@
 Under a strict feasibility point ``g(x*) < 0``, exactly one of the following
 holds: the system ``{f < 0, g <= 0}`` has no solution, or it has one; the
 first case is equivalent to the existence of a multiplier ``lambda >= 0``
-with ``f + lambda g >= 0`` everywhere.  ``decide`` brackets the argmax of
-the concave dual ``d = inf_x (f + lambda g)``, keeping one point on each side
-of ``g = 0``: each gives a supporting line ``f(x) + lambda g(x) >= d``, and
-the lines meet (the next step) at the ``f``-value where the segment between
-the two image points crosses ``g = 0``.  Below ``-slack`` that bound yields
-the counterexample, the witness on the segment with the cone ``R^2_+``
-(``F(R^n) + R^2_+`` is convex).  The collapsed bracket gives the multiplier,
-or, where ``d = -inf``, a closed-form walk from ``x*``.  ``Undecided`` is an
-honest third verdict; a wrong verdict is never returned.
+with ``f + lambda g >= 0`` everywhere.  ``decide`` bisects the argmax of
+the concave dual ``d = inf_x (f + lambda g)`` by the sign of its slope,
+keeping one point on each side of ``g = 0``: each gives a supporting line
+``f(x) + lambda g(x) >= d``, and the lines meet at the ``f``-value where the
+segment between the two image points crosses ``g = 0``, an upper bound on
+``sup d``.  Below ``-slack`` that bound yields the counterexample, the
+witness on the segment with the cone ``R^2_+`` (``F(R^n) + R^2_+`` is
+convex).  The collapsed bracket gives the multiplier, or, where
+``d = -inf``, a closed-form walk from ``x*``.  ``Undecided`` is an honest
+third verdict; a wrong verdict is never returned.
 
 A grid oracle (exact feasibility scan over a uniform grid, evaluated in
 closed form one axis at a time) provides an independent cross-check at desk
@@ -167,23 +168,15 @@ class _DualSearch:
 
 def _search(f: QuadraticForm, g: QuadraticForm, x0, search: SearchConfig,
             cfg: ToleranceConfig, stop_below: float) -> _DualSearch:
-    """Bracket the dual's argmax in ``[0, lambda_max]`` to 1e-12 relative,
+    """Bisect the dual's argmax in ``[0, lambda_max]`` to 1e-12 relative,
     then probe the midpoint into ``final``; stop early once the upper bound
     is below ``stop_below``."""
     state = _DualSearch(f, g, 0.0, search.lambda_max)
     state.keep(np.asarray(x0, dtype=float).reshape(-1))
-    last_width = math.inf
     while state.hi - state.lo > 1e-12 * (1.0 + state.hi):
         if state.upper() < stop_below:
             return state
-        width = state.hi - state.lo
-        lam = 0.5 * (state.lo + state.hi)
-        if state.above and state.below and width <= 0.5 * last_width:
-            cross = state.crossing()[0]   # a Kelley step, while it halves
-            if state.lo < cross < state.hi:
-                lam = cross
-        last_width = width
-        state.probe(lam, search, cfg)
+        state.probe(0.5 * (state.lo + state.hi), search, cfg)
     lam = 0.5 * (state.lo + state.hi)
     state.final = (lam, state.probe(lam, search, cfg))
     return state

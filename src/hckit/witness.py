@@ -37,8 +37,8 @@ import numpy as np
 
 from . import cone2d, quadmap
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import (DegenerateLine, NoRealRoot, NotOnImage,
-                     NumericalBreakdown, PreconditionViolated)
+from .errors import (DegenerateLine, NotOnImage, NumericalBreakdown,
+                     PreconditionViolated)
 from .quadmap import LineImageKind, QuadraticMap, eval_map
 from .smallmat import quadratic_roots
 
@@ -116,16 +116,13 @@ def _eliminant_crossings(co, base, direction):
     Returns ``(t, tau)`` pairs.
     """
     d0, d1 = float(direction[0]), float(direction[1])
-    a = d1 * co.alpha - d0 * co.alpha_p
-    b = d1 * co.beta - d0 * co.beta_p
-    c = (d1 * co.gamma - d0 * co.gamma_p
-         - d1 * float(base[0]) + d0 * float(base[1]))
+    a, b, c = (d1 * pf - d0 * pg for pf, pg in zip(co.row(0), co.row(1)))
+    c = c - d1 * float(base[0]) + d0 * float(base[1])
     dd = d0 * d0 + d1 * d1
     out = []
     for t in quadratic_roots(a, b, c):
-        pt = np.array([(co.alpha * t + co.beta) * t + co.gamma,
-                       (co.alpha_p * t + co.beta_p) * t + co.gamma_p])
-        tau = ((pt[0] - base[0]) * d0 + (pt[1] - base[1]) * d1) / dd
+        p0, p1 = co.at(t)
+        tau = ((p0 - base[0]) * d0 + (p1 - base[1]) * d1) / dd
         out.append((t, float(tau)))
     return out
 
@@ -204,19 +201,13 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
         w_bar = alpha * u_bar + beta * v_bar
         try:
             x_star = quadmap.preimage_on_line(img, point_u.x, point_v.x, w_bar, cfg)
-        except (NotOnImage, NoRealRoot) as exc:
+        except NotOnImage as exc:
             raise NumericalBreakdown(
                 f"mixed value not on the flat image: {exc}", trace) from exc
         return finish(x_star, gap, Branch.RAY_OR_LINE)
 
-    # parabola: psi(w) = sigma * (P_q(t(w)) - w_q), with q the coordinate
-    # whose polynomial the parameter map t(.) shears away
     co = img.coeffs
-    q = 1 if img.swap else 0
-    qa, qb, qc = ((co.alpha_p, co.beta_p, co.gamma_p) if img.swap
-                  else (co.alpha, co.beta, co.gamma))
-    t_w = img.parameter_of(w)
-    trace.psi_w = math.copysign(1.0, qa) * ((qa * t_w + qb) * t_w + qc - w[q])
+    trace.psi_w = img.side(w)
     zero = np.zeros(2)
     if trace.psi_w < 0.0:
         # backward-ray lemma: the nearest crossing wins, ties to b

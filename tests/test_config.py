@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import hckit
+from hckit import errors
 from hckit.config import SearchConfig, ToleranceConfig
 
 
@@ -22,3 +23,12 @@ def test_every_field_is_read(config):
               if not re.search(rf"\.{f.name}\b", source)]
     assert unread == []
 
+
+def test_every_error_is_raised():
+    # an exception type that no code path raises is a dead name
+    source = _library_source()
+    unraised = [name for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.HckError)
+                and cls is not errors.HckError
+                and not re.search(rf"raise {name}\(", source)]
+    assert unraised == []

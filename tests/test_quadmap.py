@@ -5,7 +5,7 @@ import hckit as hk
 from hckit.errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
                           NotOnImage)
 from hckit.quadmap import LineImageKind
-from gen import random_map, rank_deficient_map
+from gen import random_form, random_map, rank_deficient_map
 
 
 def paraboloid_line_map() -> hk.QuadraticMap:
@@ -18,6 +18,11 @@ def double_square_map() -> hk.QuadraticMap:
     """F = (x^2, 2 x^2) on the reals."""
     return hk.QuadraticMap(hk.QuadraticForm([[1.0]], [0.0], 0.0),
                            hk.QuadraticForm([[2.0]], [0.0], 0.0))
+
+
+def _scaled(q: hk.QuadraticForm, factor: float) -> hk.QuadraticForm:
+    return hk.QuadraticForm(factor * q.matrix, factor * q.linear,
+                            factor * q.constant)
 
 
 class TestEvalMap:
@@ -164,6 +169,17 @@ class TestPreimage:
         np.testing.assert_allclose(hk.preimage_on_line(img, [0.5], [1.0], (2.0, -1.0)),
                                    [0.5])
 
+    def test_near_constant_point_image(self):
+        # nonconstant terms at 1e-12 still make a point image; a target 1e-8
+        # off it is on it to tolerance, while Gauss-Newton from t = 0
+        # (derivative 1e-12) runs to t in the thousands and misses it by 2e-5
+        f = hk.QuadraticForm([[1e-12]], [1e-12], 1.0)
+        g = hk.QuadraticForm([[0.0]], [0.0], -1.0)
+        img = hk.classify_line_image(hk.QuadraticMap(f, g), [0.0], [1.0])
+        assert img.kind is LineImageKind.POINT
+        x = hk.preimage_on_line(img, [0.0], [1.0], (1.0 + 1e-8, -1.0))
+        np.testing.assert_array_equal(x, [0.0])
+
     def test_off_image_rejected(self):
         fmap = paraboloid_line_map()
         img = hk.classify_line_image(fmap, [0.0], [1.0])
@@ -212,6 +228,42 @@ class TestPreimage:
             co = img.coeffs
             g_scale = 1 + max(abs(co.alpha_p), abs(co.beta_p), abs(co.gamma_p))
             assert abs(hk.eval_map(fmap, x)[1] - target[1]) <= 1e-9 * g_scale
+
+    def test_off_scale_target_refused(self):
+        # f at 1e8 and g at 0.1: a target ten g-sizes off in g is within
+        # 1e-7 of f's size, yet off the image; each ray's apex, where
+        # rounding can leave the pivot solve without a real root, maps back
+        rng = np.random.default_rng(43)
+        kinds = [LineImageKind.PARABOLA, LineImageKind.RAY, LineImageKind.LINE]
+        for i in range(90):
+            kind = kinds[i % 3]
+            f = random_form(rng, 2)
+            if kind is LineImageKind.PARABOLA:
+                g = random_form(rng, 2)
+            elif kind is LineImageKind.RAY:
+                k = rng.uniform(-2, 2)
+                g = hk.QuadraticForm(k * f.matrix, k * f.linear,
+                                     k * f.constant + rng.uniform(-2, 2))
+            else:
+                f = hk.QuadraticForm(np.zeros((2, 2)), f.linear, f.constant)
+                g = hk.QuadraticForm(np.zeros((2, 2)), rng.uniform(-2, 2, 2),
+                                     rng.uniform(-2, 2))
+            fmap = hk.QuadraticMap(_scaled(f, 1e8), _scaled(g, 0.1))
+            xb, yb = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
+            img = hk.classify_line_image(fmap, xb, yb)
+            assert img.kind is kind
+            co = img.coeffs
+            g_scale = 1 + max(map(abs, co.row(1)))
+            target = np.array(co.at(rng.uniform(-2, 2))) + [0.0, 10 * g_scale]
+            with pytest.raises(NotOnImage):
+                hk.preimage_on_line(img, xb, yb, target)
+            if kind is LineImageKind.RAY:
+                a, b, _ = co.row(img.pivot)
+                apex = np.array(co.at(-b / (2 * a)))
+                x = hk.preimage_on_line(img, xb, yb, apex)
+                miss = np.abs(hk.eval_map(fmap, x) - apex)
+                sizes = [1 + max(map(abs, co.row(k))) for k in (0, 1)]
+                assert np.all(miss <= 1e-9 * np.array(sizes))
 
 
 class TestManifolds:
