@@ -17,11 +17,17 @@ from .errors import DegenerateCone
 
 @dataclass(frozen=True)
 class Cone2:
-    """Cone generated by two independent 2-vectors ``b`` and ``c``."""
+    """Cone generated by two independent 2-vectors ``b`` and ``c``.
+
+    ``det`` is ``b x c`` and ``b_norm``, ``c_norm`` are ``|b|``, ``|c|``;
+    all are fixed at construction, so coordinate queries take no norms.
+    """
 
     b: np.ndarray
     c: np.ndarray
     det: float = field(init=False)
+    b_norm: float = field(init=False)
+    c_norm: float = field(init=False)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float).reshape(2).copy()
@@ -31,6 +37,8 @@ class Cone2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "det", float(b[0] * c[1] - b[1] * c[0]))
+        object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
+        object.__setattr__(self, "c_norm", float(np.linalg.norm(c)))
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,7 @@ class ConeCoords:
 def make_cone(b, c, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Cone2:
     """Validated constructor; raises :class:`DegenerateCone` on dependence."""
     cone = Cone2(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-    norm = float(np.linalg.norm(cone.b) * np.linalg.norm(cone.c))
-    if abs(cone.det) <= cfg.indep_tol * norm:
+    if abs(cone.det) <= cfg.indep_tol * cone.b_norm * cone.c_norm:
         raise DegenerateCone(
             f"generators are numerically dependent (|det| = {abs(cone.det):.3e})"
         )
@@ -56,14 +63,18 @@ def positive_quadrant() -> Cone2:
 
 
 def coords(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ConeCoords:
-    """Coordinates of ``point`` in the basis ``{b, c}`` (Cramer's rule)."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    norm = float(np.linalg.norm(cone.b) * np.linalg.norm(cone.c))
-    if abs(cone.det) <= cfg.indep_tol * norm:
+    """Coordinates of ``point`` in the basis ``{b, c}`` (Cramer's rule).
+
+    The generators are tested for dependence on every call, because a
+    :class:`Cone2` built directly is not validated.  The arithmetic is on
+    Python floats, so an overflow gives an infinite or NaN coordinate and
+    no warning.
+    """
+    p0, p1 = np.asarray(point, dtype=float).reshape(2).tolist()
+    if abs(cone.det) <= cfg.indep_tol * cone.b_norm * cone.c_norm:
         raise DegenerateCone("cone generators are numerically dependent")
-    lam = (p[0] * cone.c[1] - p[1] * cone.c[0]) / cone.det
-    bet = (cone.b[0] * p[1] - cone.b[1] * p[0]) / cone.det
-    return ConeCoords(float(lam), float(bet))
+    (b0, b1), (c0, c1) = cone.b.tolist(), cone.c.tolist()
+    return ConeCoords((p0 * c1 - p1 * c0) / cone.det, (b0 * p1 - b1 * p0) / cone.det)
 
 
 def contains(cone: Cone2, point, tol: float | None = None,

@@ -4,8 +4,8 @@ The central operation classifies the image of a straight line under
 ``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.
 Preimages of image points come from the two image polynomials alone: one
 scalar solve for the line parameter and one residual test per image
-coordinate.  For the parabola case the implicit conic equation is recovered
-too, for reporting.  Restriction to affine manifolds ``x0 + range(K)``
+coordinate.  For the parabola case the implicit conic equation is expanded
+on demand, for reporting.  Restriction to affine manifolds ``x0 + range(K)``
 yields another quadratic map, so every operation transfers.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,8 +177,9 @@ class LineImage:
       the linear coefficients), plus the pivot polynomial index.
     * PARABOLA: the affine parameter map
       ``t = (t_row . u - t_offset) / t_slope`` valid for every image point
-      ``u``, the coordinate ``swap`` says it shears away, and the
-      PSD-normalized implicit ``conic`` (reported, not used for solves).
+      ``u``, and the coordinate ``swap`` says it shears away.  The
+      PSD-normalized implicit :attr:`conic` is expanded from these on first
+      read (reported, not used for solves).
     """
 
     kind: LineImageKind
@@ -187,12 +189,30 @@ class LineImage:
     ray_direction: np.ndarray | None = None
     line_point: np.ndarray | None = None
     line_direction: np.ndarray | None = None
-    conic: Conic2 | None = None
     t_row: np.ndarray | None = None
     t_slope: float | None = None
     t_offset: float | None = None
     pivot: int = 0
     swap: bool = False
+
+    @cached_property
+    def conic(self) -> Conic2 | None:
+        """Implicit equation ``psi(u) = 0`` of a parabola image, else None.
+
+        ``psi(u) = sign(a_q) * (P_q(t(u)) - u_q)`` expanded in ``u``, with
+        ``q`` the sheared-away coordinate, so ``psi`` is negative strictly
+        inside the parabola and its quadratic part is PSD.
+        """
+        if self.kind is not LineImageKind.PARABOLA:
+            return None
+        qa, qb, qc = self.coeffs.row(int(self.swap))
+        first = np.array([0.0, 1.0]) if self.swap else np.array([1.0, 0.0])
+        sigma = math.copysign(1.0, qa)
+        row, slope, offset = self.t_row, self.t_slope, self.t_offset
+        s2 = slope * slope
+        return Conic2(sigma * (qa / s2) * np.outer(row, row),
+                      sigma * ((qb / slope - 2.0 * qa * offset / s2) * row - first),
+                      sigma * (qa * offset * offset / s2 - qb * offset / slope + qc))
 
     def parameter_of(self, target) -> float:
         """Line parameter of an image point (parabola payload only)."""
@@ -223,9 +243,9 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     proportional up to constants, so the image sits on a straight line: a
     point if everything non-constant vanishes, a full line if the shared
     polynomial is affine, a ray if it is genuinely quadratic.
-    A nonzero determinant always produces a parabola, whose implicit equation
-    is built by shearing the dominant quadratic coordinate against the other
-    one and eliminating the parameter.
+    A nonzero determinant always produces a parabola, whose parameter map
+    comes from shearing the dominant quadratic coordinate against the other
+    one; its implicit equation is left to :attr:`LineImage.conic`.
     """
     co = line_coeffs(fmap, xbar, ybar, cfg)
     al, be, ga = co.row(0)
@@ -271,20 +291,11 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     k = la / qa
     slope = lb - k * qb          # nonzero exactly because det2 != 0
     offset = lc - k * qc
-    sigma = math.copysign(1.0, qa)
     # parameter map t = (row . u - offset) / slope in original coordinates
     row = np.array([1.0, -k]) if swap else np.array([-k, 1.0])
-    first = np.array([0.0, 1.0]) if swap else np.array([1.0, 0.0])
-    # psi(u) = sigma * (qa*t(u)^2 + qb*t(u) + qc - first . u), expanded
-    s2 = slope * slope
-    A = sigma * (qa / s2) * np.outer(row, row)
-    a_lin = sigma * ((qb / slope - 2.0 * qa * offset / s2) * row - first)
-    a0 = sigma * (qa * offset * offset / s2 - qb * offset / slope + qc)
-    conic = Conic2(A, a_lin, a0)
     return LineImage(
         LineImageKind.PARABOLA, co,
-        conic=conic, t_row=row, t_slope=float(slope), t_offset=float(offset),
-        swap=swap,
+        t_row=row, t_slope=float(slope), t_offset=float(offset), swap=swap,
     )
 
 

@@ -102,8 +102,12 @@ class WitnessCertificate:
 
 
 def _value_scale(*points) -> float:
-    return 1.0 + max(float(np.max(np.abs(np.asarray(p, dtype=float))))
-                     for p in points)
+    """``1 +`` the largest coordinate magnitude of the given plane points.
+
+    The points are float pairs.  A NaN may be skipped by ``max``, so a
+    caller that must fail on non-finite data checks finiteness itself.
+    """
+    return 1.0 + max(max(abs(p0), abs(p1)) for p0, p1 in points)
 
 
 def _eliminant_crossings(co, base, direction):
@@ -164,13 +168,13 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     w = alpha * u + beta * v
     u_bar = eval_map(fmap, point_u.x)
     v_bar = eval_map(fmap, point_v.x)
-    scale = _value_scale(u, v, u_bar, v_bar)
+    scale = _value_scale(u.tolist(), v.tolist(), u_bar.tolist(), v_bar.tolist())
     trace = WitnessTrace(alpha=alpha, beta=beta)
 
     def finish(x_star, e_star, branch: Branch) -> WitnessCertificate:
         x_star = np.asarray(x_star, dtype=float).reshape(-1)
         e_star = np.asarray(e_star, dtype=float).reshape(2)
-        if not _holds(fmap, cone, w, x_star, e_star, cfg.cert_tol, cfg):
+        if not _holds(fmap, cone, w.tolist(), x_star, e_star, cfg.cert_tol, cfg):
             raise NumericalBreakdown(
                 f"{branch.value} certificate fails verification", trace)
         return WitnessCertificate(x_star, e_star, branch, trace)
@@ -234,19 +238,35 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
 
 def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
            tol: float, cfg: ToleranceConfig) -> bool:
-    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone to ``tol``.
+    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone.
 
-    Non-finite data fails: the scale is finite only when ``w``, ``F(x*)``
-    and ``e*`` are, and every comparison is written so that NaN fails it.
+    The cone coordinates of ``e*`` may fall below zero by
+    ``tol * (1 + |e*| |c| / |det|)`` (on b) and ``tol * (1 + |e*| |b| / |det|)``
+    (on c); see :func:`verify_certificate`.  Non-finite data fails: ``x*``,
+    ``w`` and ``F(x*) + e*`` are checked up front, each coordinate on its
+    own, and an overflowing slack or coordinate fails too.
     """
     if not np.isfinite(x_star).all():
         return False
-    value = eval_map(fmap, x_star) + e_star
-    scale = _value_scale(w, value, e_star)
-    if not (math.isfinite(scale)
-            and float(np.max(np.abs(value - w))) <= tol * scale):
+    e = np.asarray(e_star, dtype=float).reshape(2)
+    e0, e1 = e.tolist()
+    v0, v1 = eval_map(fmap, x_star).tolist()
+    v0 += e0
+    v1 += e1
+    w0, w1 = w
+    if not all(map(math.isfinite, (w0, w1, v0, v1))):
         return False
-    return cone2d.contains(cone, e_star, tol, cfg)
+    bound = tol * _value_scale((w0, w1), (v0, v1), (e0, e1))
+    if not (abs(v0 - w0) <= bound and abs(v1 - w1) <= bound):
+        return False
+    co = cone2d.coords(cone, e, cfg)      # raises DegenerateCone before det divides
+    # each coordinate gets the rounding of its own Cramer numerator
+    e_norm = math.hypot(e0, e1)
+    lam_floor = -tol * (1.0 + e_norm * (cone.c_norm / abs(cone.det)))
+    bet_floor = -tol * (1.0 + e_norm * (cone.b_norm / abs(cone.det)))
+    if not all(map(math.isfinite, (co.lam, co.bet, lam_floor, bet_floor))):
+        return False
+    return co.lam >= lam_floor and co.bet >= bet_floor
 
 
 def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
@@ -256,13 +276,20 @@ def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
 
     Shares no intermediate state with the constructor: everything is
     recomputed from the certificate fields.  The residual is relative to
-    the largest of ``|w|``, ``|F(x*) + e*|`` and ``|e*|`` (plus one); the
-    cone coordinates of ``e*`` get ``tol`` as an absolute slack.  A
-    non-finite entry in ``x*``, ``e*`` or ``w`` never verifies.
+    the largest of ``|w|``, ``|F(x*) + e*|`` and ``|e*|`` (plus one).  The
+    cone coordinate of ``e*`` on ``b`` may be negative down to
+    ``-tol * (1 + |e*| |c| / |det|)``, and the one on ``c`` down to
+    ``-tol * (1 + |e*| |b| / |det|)`` (Euclidean norms, ``det = b x c``),
+    the rounding of each coordinate's Cramer numerator.  So a large ``e*``
+    may leave the cone by an angle of at most about ``tol``, the relative
+    units of the residual, whatever the generator lengths, and the slack
+    stays ``tol`` absolute for ``|e*|`` small against the generators.  A
+    non-finite entry in ``x*``, ``e*`` or ``w``, or a slack or coordinate
+    that overflows, never verifies.
     """
     if tol is None:
         tol = cfg.cert_tol
-    return _holds(fmap, cone, np.asarray(w, dtype=float).reshape(2),
+    return _holds(fmap, cone, np.asarray(w, dtype=float).reshape(2).tolist(),
                   cert.x_star, cert.e_star, tol, cfg)
 
 

@@ -92,3 +92,18 @@ class TestDegenerate:
         k = cone2d.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
         with pytest.raises(DegenerateCone):
             hk.coords(k, (1.0, 0.0))
+
+    @pytest.mark.parametrize("query", [hk.coords, hk.contains])
+    def test_unvalidated_near_parallel_guard(self, query):
+        # a directly built Cone2 skips make_cone, so every query re-tests
+        # |det| against the stored |b| |c|
+        k = cone2d.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0 + 1e-12]))
+        assert k.det != 0.0
+        assert k.b_norm * k.c_norm == pytest.approx(10.0)
+        with pytest.raises(DegenerateCone):
+            query(k, (1.0, 0.0))
+
+    @pytest.mark.parametrize("query", [hk.coords, hk.contains])
+    def test_point_length_checked(self, query):
+        with pytest.raises(ValueError):
+            query(hk.positive_quadrant(), (1.0, 2.0, 3.0))

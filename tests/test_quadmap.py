@@ -93,6 +93,38 @@ class TestClassifyLineImage:
         np.testing.assert_allclose(img.conic.a, kappa * np.array([-1.0, 0.0]), atol=1e-12)
         assert img.conic.a0 == pytest.approx(0.0, abs=1e-12)
 
+    def test_parabola_conic_on_demand(self, monkeypatch):
+        # classification never builds the conic; the first read expands it
+        # from the payload exactly as classification once did
+        from hckit import quadmap
+        rng = np.random.default_rng(21)
+        fmap = random_map(rng, 3)
+        xb, yb = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+        with monkeypatch.context() as patched:
+            def refuse(*args):
+                raise AssertionError("Conic2 built during classification")
+            patched.setattr(quadmap, "Conic2", refuse)
+            img = hk.classify_line_image(fmap, xb, yb)
+        assert img.kind is LineImageKind.PARABOLA
+        co = img.coeffs
+        swap = abs(co.alpha) < abs(co.alpha_p)
+        qa, qb, qc = co.row(int(swap))
+        la, lb, lc = co.row(int(not swap))
+        k = la / qa
+        slope = lb - k * qb
+        offset = lc - k * qc
+        sigma = np.copysign(1.0, qa)
+        row = np.array([1.0, -k]) if swap else np.array([-k, 1.0])
+        first = np.array([0.0, 1.0]) if swap else np.array([1.0, 0.0])
+        s2 = slope * slope
+        np.testing.assert_array_equal(img.conic.A, sigma * (qa / s2) * np.outer(row, row))
+        np.testing.assert_array_equal(
+            img.conic.a, sigma * ((qb / slope - 2.0 * qa * offset / s2) * row - first))
+        assert img.conic.a0 == sigma * (qa * offset * offset / s2 - qb * offset / slope + qc)
+
+    def test_flat_images_have_no_conic(self):
+        assert hk.classify_line_image(double_square_map(), [0.0], [1.0]).conic is None
+
     def test_ray(self):
         img = hk.classify_line_image(double_square_map(), [0.0], [1.0])
         assert img.kind is LineImageKind.RAY

@@ -72,13 +72,82 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["x_star", "e_star", "w"])
     def test_non_finite_never_verifies(self, where, bad):
+        # every coordinate: a max over the two that skips a NaN would let
+        # w = (1, NaN) through
         fmap = parabola_map()
         cone = hk.positive_quadrant()
-        parts = {"x_star": [0.0], "e_star": [1.0, 0.0], "w": [1.0, 0.0]}
-        parts[where][0] = bad
-        cert = WitnessCertificate(np.array(parts["x_star"]), np.array(parts["e_star"]),
-                                  Branch.PARABOLA_RAY_HIT, WitnessTrace())
-        assert not hk.verify_certificate(fmap, cone, parts["w"], cert)
+        for index in range(1 if where == "x_star" else 2):
+            parts = {"x_star": [0.0], "e_star": [1.0, 0.0], "w": [1.0, 0.0]}
+            parts[where][index] = bad
+            cert = WitnessCertificate(np.array(parts["x_star"]), np.array(parts["e_star"]),
+                                      Branch.PARABOLA_RAY_HIT, WitnessTrace())
+            assert not hk.verify_certificate(fmap, cone, parts["w"], cert), index
+
+    @pytest.mark.parametrize("scale", np.geomspace(1e-6, 1e10, 9))
+    def test_cone_slack_refuses_forged_angle(self, scale):
+        # e* leaves the cone past b or c by 100 cert_tol or more; map, w,
+        # generators and e* all carry the scale, the two generators' lengths
+        # differ by up to 1e6 either way, and |e*| ranges from the longer
+        # generator's length to 1e8 times it, where a ray-hit e* lives
+        tol = hk.DEFAULT_TOLERANCES.cert_tol
+        fmap = hk.QuadraticMap(hk.QuadraticForm([[scale]], [0.0], 0.0),
+                               hk.QuadraticForm([[0.0]], [scale], 0.0))
+        rng = np.random.default_rng(60)     # the same cones at every scale
+        for angle in np.geomspace(1e-2, 179.0, 7):
+            for ratio in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                th = rng.uniform(0.0, 2.0 * np.pi)
+                ang = np.deg2rad(angle)
+                b = scale * rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)])
+                c = ratio * scale * rng.uniform(0.5, 2.0) * np.array(
+                    [np.cos(th + ang), np.sin(th + ang)])
+                cone = hk.make_cone(b, c)
+                longest = max(cone.b_norm, cone.c_norm)
+                for out in (100.0 * tol, 1e-3, 0.5):
+                    for edge, turn in ((b, -out), (c, out)):
+                        rot = np.array([[np.cos(turn), -np.sin(turn)],
+                                        [np.sin(turn), np.cos(turn)]])
+                        away = rot @ edge / np.linalg.norm(edge)
+                        for reach in (1.0, 1e4, 1e8):
+                            e = reach * longest * away
+                            cert = WitnessCertificate(np.array([0.0]), e, Branch.CASE1_U,
+                                                      WitnessTrace())
+                            assert not hk.verify_certificate(fmap, cone, e, cert), (
+                                angle, ratio, out, reach)
+
+    @pytest.mark.parametrize("b, c, e", [
+        ((1e9, 0.0), (0.0, 1e9), (-1e300, 0.0)),     # Cramer numerator overflows
+        ((1e-20, 0.0), (0.0, 1.0), (-1e300, 0.0)),   # slack overflows too
+        ((1e-20, 0.0), (0.0, 1.0), (1e300, -1e300)),
+    ])
+    def test_overflowing_cone_test_never_verifies(self, b, c, e):
+        # finite x*, w and F(x*) + e* = w, with e* outside the cone: an
+        # infinite slack or coordinate must not compare as in the cone
+        fmap = parabola_map()
+        cert = WitnessCertificate(np.array([0.0]), np.array(e), Branch.CASE1_U,
+                                  WitnessTrace())
+        assert not hk.verify_certificate(fmap, hk.make_cone(b, c), e, cert)
+
+    def test_cone_slack_accepts_ray_hit_rounding(self):
+        # e* = tau*b with tau up to 1e10 in cones down to 0.02 degrees:
+        # Cramer's rule puts the other coordinate at about -eps*tau/angle,
+        # which an absolute slack of cert_tol refuses
+        fmap = parabola_map()
+        rng = np.random.default_rng(9)
+        refused_absolute = 0
+        for _ in range(400):
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            ang = np.deg2rad(10.0 ** rng.uniform(np.log10(0.02), np.log10(2.3)))
+            cone = hk.make_cone(rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)]),
+                                rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang),
+                                                                  np.sin(th + ang)]))
+            edge = cone.b if rng.uniform() < 0.5 else cone.c
+            e = 10.0 ** rng.uniform(6.0, 10.0) * edge
+            co = hk.coords(cone, e)
+            refused_absolute += min(co.lam, co.bet) < -hk.DEFAULT_TOLERANCES.cert_tol
+            cert = WitnessCertificate(np.array([0.0]), e, Branch.PARABOLA_RAY_HIT,
+                                      WitnessTrace())
+            assert hk.verify_certificate(fmap, cone, e, cert)
+        assert refused_absolute > 0
 
 
 class TestPreconditions:
