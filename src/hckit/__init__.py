@@ -11,9 +11,7 @@ everything to affine manifolds.
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOLERANCES, SearchConfig, ToleranceConfig
 from .cone2d import Cone2, ConeCoords, contains, coords, make_cone, positive_quadrant
-from .conic2d import (Conic2, ConicClass, chord_interior_sign, classify,
-                      first_negative_ray_hit, normalize_parabola,
-                      ray_intersections)
+from .conic2d import Conic2
 from .quadmap import (AffineManifold, LineImage, LineImageKind, QuadraticForm,
                       QuadraticMap, classify_line_image, eval_map, line_coeffs,
                       manifold_from_linear_system, preimage_on_line,
@@ -29,17 +27,16 @@ from .witness import (Branch, ConePoint, ConvexityReport, WitnessCertificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineManifold", "Branch", "Cone2", "ConeCoords", "ConePoint", "Conic2",
-    "ConicClass", "ConvexityReport", "DEFAULT_SEARCH", "DEFAULT_TOLERANCES",
-    "EigenDecomp", "LineImage", "LineImageKind", "MinResult", "OracleVerdict",
-    "Outcome", "QuadraticForm", "QuadraticMap", "SLemmaVerdict", "SearchConfig",
-    "ToleranceConfig", "WitnessCertificate", "brute_force_oracle",
-    "chord_interior_sign", "classify", "classify_line_image", "cone_point",
-    "contains", "convexity_probe", "coords", "decide", "dual_lower_bound",
-    "dual_value", "eigh", "eval_map", "first_negative_ray_hit", "line_coeffs",
+    "AffineManifold", "Branch", "Cone2", "ConeCoords", "ConePoint",
+    "Conic2", "ConvexityReport", "DEFAULT_SEARCH", "DEFAULT_TOLERANCES",
+    "EigenDecomp", "LineImage", "LineImageKind", "MinResult",
+    "OracleVerdict", "Outcome", "QuadraticForm", "QuadraticMap",
+    "SLemmaVerdict", "SearchConfig", "ToleranceConfig",
+    "WitnessCertificate", "brute_force_oracle", "classify_line_image",
+    "cone_point", "contains", "convexity_probe", "coords", "decide",
+    "dual_lower_bound", "dual_value", "eigh", "eval_map", "line_coeffs",
     "make_cone", "manifold_from_linear_system", "min_of_quadratic",
-    "normalize_parabola", "null_space_basis", "numerical_rank",
-    "positive_quadrant", "preimage_on_line", "ray_intersections",
-    "restrict_to_manifold", "slater_check", "symmetrize",
-    "verify_certificate", "witness_convex_combination",
+    "null_space_basis", "numerical_rank", "positive_quadrant",
+    "preimage_on_line", "restrict_to_manifold", "slater_check",
+    "symmetrize", "verify_certificate", "witness_convex_combination",
 ]

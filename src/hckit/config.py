@@ -3,7 +3,10 @@
 A single immutable value is threaded through all modules so that there is one
 knob surface.  Every threshold below is relative to a locally computed scale
 unless noted otherwise, and every field is read by some code path: the
-eigendecomposition and SVD come from LAPACK and take no knobs of their own.
+eigendecomposition and SVD come from LAPACK and take no knobs of their own,
+and the parabola facts the witness uses run on the image polynomials, which
+take no conic classification threshold.  Problem files may still name a
+retired field (see ``hckit.problemio.RETIRED_TOLERANCES``); it is ignored.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ class ToleranceConfig:
     indep_tol: float = 1e-10           # |det| > indep_tol * |b| * |c|
     cone_tol: float = 1e-9             # default membership slack on coordinates
 
-    # implicit conics
-    class_tol: float = 1e-9            # classification thresholds
+    # points on a line image, and its crossings
     on_tol: float = 1e-7               # "point lies on the curve", relative
-    root_tol: float = 1e-9             # a root at t <= root_tol counts as t <= 0
+    root_tol: float = 1e-9             # crossing slack along a leg, times the data scale
 
     # line images of quadratic maps
     det_tol: float = 1e-9              # |alpha*beta' - alpha'*beta| vs the two rows' sizes

@@ -19,20 +19,8 @@ class DegenerateCone(HckError):
     """Cone generators are (numerically) linearly dependent."""
 
 
-class NotAParabola(HckError):
-    """Operation requires a conic classified as a parabola."""
-
-
 class PreconditionViolated(HckError):
     """A documented precondition does not hold for the given input."""
-
-
-class IdenticallyZero(HckError):
-    """The restriction of the conic to the given line vanishes identically."""
-
-
-class LemmaViolated(HckError):
-    """A guaranteed geometric hit was not found; numerical breakdown."""
 
 
 class DimensionMismatch(HckError):

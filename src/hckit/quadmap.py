@@ -1,12 +1,15 @@
 """Pairs of quadratic functions as maps into the plane.
 
 The central operation classifies the image of a straight line under
-``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.
-Preimages of image points come from the two image polynomials alone: one
-scalar solve for the line parameter and one residual test per image
-coordinate.  For the parabola case the implicit conic equation is expanded
-on demand, for reporting.  Restriction to affine manifolds ``x0 + range(K)``
-yields another quadratic map, so every operation transfers.
+``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.  The
+classified image keeps the line's validated endpoints and the two image
+polynomials ``P(t) = F(x(t))``, and all later work runs on those
+polynomials: a preimage is one scalar solve for the line parameter and one
+residual test per image coordinate, and the side of a point against a
+parabola image is one polynomial evaluation.  The implicit conic equation
+of a parabola is expanded on demand, for reporting only.  Restriction to
+affine manifolds ``x0 + range(K)`` yields another quadratic map, so every
+operation transfers.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ class QuadraticForm:
         if xv.shape[0] != self.n:
             raise DimensionMismatch(f"point has length {xv.shape[0]}, expected {self.n}")
         return float(xv @ self.matrix @ xv + self.linear @ xv + self.constant)
+
+    def along(self, x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+        """Coefficients ``(a, b, c)`` of ``q(x + s v) = a s^2 + b s + c``."""
+        return (float(v @ self.matrix @ v),
+                float(2.0 * (x @ self.matrix @ v) + self.linear @ v), self(x))
 
     def shifted(self, offset: float) -> "QuadraticForm":
         """The form plus a constant (used for objective shifts)."""
@@ -126,35 +134,26 @@ class LineCoeffs:
                 (self.alpha_p * t + self.beta_p) * t + self.gamma_p)
 
 
-def _check_distinct(xbar, ybar, cfg: ToleranceConfig):
-    xb = np.asarray(xbar, dtype=float).reshape(-1)
-    yb = np.asarray(ybar, dtype=float).reshape(-1)
+def _line(fmap: QuadraticMap, xbar, ybar, cfg: ToleranceConfig):
+    """Validated copies of the endpoints, and the coefficients along their line."""
+    xb = np.array(xbar, dtype=float).reshape(-1)
+    yb = np.array(ybar, dtype=float).reshape(-1)
     if xb.shape != yb.shape:
         raise DimensionMismatch("line endpoints have different lengths")
     ref = 1.0 + max(float(np.max(np.abs(xb), initial=0.0)),
                     float(np.max(np.abs(yb), initial=0.0)))
     if xb.size == 0 or float(np.max(np.abs(yb - xb))) <= cfg.line_tol * ref:
         raise DegenerateLine("line endpoints coincide")
-    return xb, yb
+    if xb.shape[0] != fmap.n:
+        raise DimensionMismatch(f"points have length {xb.shape[0]}, map expects {fmap.n}")
+    d = yb - xb
+    return xb, yb, LineCoeffs(*fmap.f.along(xb, d), *fmap.g.along(xb, d))
 
 
 def line_coeffs(fmap: QuadraticMap, xbar, ybar,
                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LineCoeffs:
     """Exact polynomial coefficients of ``F`` restricted to a line."""
-    xb, yb = _check_distinct(xbar, ybar, cfg)
-    if xb.shape[0] != fmap.n:
-        raise DimensionMismatch(f"points have length {xb.shape[0]}, map expects {fmap.n}")
-    d = yb - xb
-
-    def one(q: QuadraticForm):
-        alpha = float(d @ q.matrix @ d)
-        beta = float(2.0 * (xb @ q.matrix @ d) + q.linear @ d)
-        gamma = q(xb)
-        return alpha, beta, gamma
-
-    af, bf, gf = one(fmap.f)
-    ag, bg, gg = one(fmap.g)
-    return LineCoeffs(af, bf, gf, ag, bg, gg)
+    return _line(fmap, xbar, ybar, cfg)[2]
 
 
 class LineImageKind(enum.Enum):
@@ -168,7 +167,9 @@ class LineImageKind(enum.Enum):
 class LineImage:
     """Classified image of a line with enough payload to invert it.
 
-    Payload by kind:
+    ``xbar`` and ``ybar`` are the validated endpoints of the line
+    ``x(t) = xbar + t*(ybar - xbar)`` that ``coeffs`` describes.  Payload by
+    kind:
 
     * POINT: ``point``.
     * RAY: ``apex``, unit-free ``ray_direction`` (points away from the apex),
@@ -184,6 +185,8 @@ class LineImage:
 
     kind: LineImageKind
     coeffs: LineCoeffs
+    xbar: np.ndarray
+    ybar: np.ndarray
     point: np.ndarray | None = None
     apex: np.ndarray | None = None
     ray_direction: np.ndarray | None = None
@@ -247,7 +250,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     comes from shearing the dominant quadratic coordinate against the other
     one; its implicit equation is left to :attr:`LineImage.conic`.
     """
-    co = line_coeffs(fmap, xbar, ybar, cfg)
+    xb, yb, co = _line(fmap, xbar, ybar, cfg)
     al, be, ga = co.row(0)
     alp, bep, gap = co.row(1)
     row_f = max(abs(al), abs(be))
@@ -255,7 +258,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     det2 = al * bep - alp * be
 
     if max(row_f, row_g) <= cfg.det_tol * co.scale():
-        return LineImage(LineImageKind.POINT, co, point=np.array([ga, gap]))
+        return LineImage(LineImageKind.POINT, co, xb, yb, point=np.array([ga, gap]))
 
     if abs(det2) <= cfg.det_tol * row_f * row_g:
         # proportional rows: pivot on the larger pair for stability
@@ -265,7 +268,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
         k = (a1 * a2 + b1 * b2) / (a1 * a1 + b1 * b1)
         if abs(a1) <= cfg.det_tol * max(abs(a1), abs(b1)):
             return LineImage(
-                LineImageKind.LINE, co,
+                LineImageKind.LINE, co, xb, yb,
                 line_point=np.array([ga, gap]),
                 line_direction=np.array([be, bep]),
                 pivot=pivot,
@@ -279,7 +282,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
             apex_piv = apex_piv[::-1]
             dir_piv = dir_piv[::-1]
         return LineImage(
-            LineImageKind.RAY, co,
+            LineImageKind.RAY, co, xb, yb,
             apex=apex_piv, ray_direction=dir_piv,
             pivot=pivot,
         )
@@ -294,7 +297,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     # parameter map t = (row . u - offset) / slope in original coordinates
     row = np.array([1.0, -k]) if swap else np.array([-k, 1.0])
     return LineImage(
-        LineImageKind.PARABOLA, co,
+        LineImageKind.PARABOLA, co, xb, yb,
         t_row=row, t_slope=float(slope), t_offset=float(offset), swap=swap,
     )
 
@@ -313,12 +316,11 @@ def _polish_parameter(co: LineCoeffs, t: float, target: np.ndarray,
     return t
 
 
-def preimage_on_line(img: LineImage, xbar, ybar, target,
+def preimage_on_line(img: LineImage, target,
                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Point on the original line that ``F`` maps (near) the target.
+    """Point on the image's line that ``F`` maps (near) the target.
 
-    ``xbar`` and ``ybar`` must be the same endpoints the image was classified
-    from.  Guesses for the line parameter come from the image polynomials:
+    Guesses for the line parameter come from the image polynomials:
     the affine inverse map of a parabola (unique), the roots of the pivot
     polynomial set to the target's coordinate for a ray or a line (smaller
     magnitude first, then a ray's vertex, so that its apex keeps a parameter
@@ -328,7 +330,6 @@ def preimage_on_line(img: LineImage, xbar, ybar, target,
     polynomial's own size, ``|P_k(t) - u_k| <= on_tol * (1 + max|coeffs_k|
     + |u_k|)``, is returned; if none does, :class:`NotOnImage` is raised.
     """
-    xb, yb = _check_distinct(xbar, ybar, cfg)
     u = np.asarray(target, dtype=float).reshape(2)
     co = img.coeffs
     if img.kind is LineImageKind.PARABOLA:
@@ -353,7 +354,7 @@ def preimage_on_line(img: LineImage, xbar, ybar, target,
         t = min(guess, _polish_parameter(co, guess, u), key=miss)
         nearest = min(nearest, miss(t))
         if nearest <= 1.0:
-            return xb + t * (yb - xb)
+            return img.xbar + t * (img.ybar - img.xbar)
     raise NotOnImage(f"target is off the {img.kind.value.lower()} image "
                      f"({nearest:.3e} times the on-curve tolerance)")
 

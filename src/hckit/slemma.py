@@ -76,19 +76,13 @@ def _parts(q: QuadraticForm):
     return q.matrix, q.linear, q.constant
 
 
-def _along(q: QuadraticForm, x: np.ndarray, v: np.ndarray):
-    """Coefficients ``(a, b, c)`` of ``q(x + s v) = a s^2 + b s + c``."""
-    return (float(v @ q.matrix @ v),
-            float((2.0 * (q.matrix @ x) + q.linear) @ v), q(x))
-
-
 def _first_reach(q: QuadraticForm, x: np.ndarray, v: np.ndarray, target: float,
                  downhill: QuadraticForm) -> np.ndarray | None:
     """First point of the ray ``x + s v``, ``s > 0``, where ``q`` equals
     ``target``; ``v`` is first flipped if ``downhill`` rises along it."""
-    if _along(downhill, x, v)[1] > 0.0:
+    if downhill.along(x, v)[1] > 0.0:
         v = -v
-    a, b, c = _along(q, x, v)
+    a, b, c = q.along(x, v)
     steps = [s for s in quadratic_roots(a, b, c - target) if s > 0.0]
     return x + min(steps) * v if steps else None
 
@@ -149,7 +143,7 @@ class _DualSearch:
             # h -> -inf along v and f + l g = h - (lam - l) g, so if g grows
             # along v (by curvature, else slope) d = -inf for every l < lam
             v = res.direction
-            curvature, slope, _ = _along(self.g, (self.below or self.above).x, v)
+            curvature, slope, _ = self.g.along((self.below or self.above).x, v)
             side = curvature or slope
             # from the kept point on the side g leaves, the ray on which h
             # falls crosses g = 0 with f under that point's line at lam

@@ -204,7 +204,7 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     if img.kind is not LineImageKind.PARABOLA:
         w_bar = alpha * u_bar + beta * v_bar
         try:
-            x_star = quadmap.preimage_on_line(img, point_u.x, point_v.x, w_bar, cfg)
+            x_star = quadmap.preimage_on_line(img, w_bar, cfg)
         except NotOnImage as exc:
             raise NumericalBreakdown(
                 f"mixed value not on the flat image: {exc}", trace) from exc

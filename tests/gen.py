@@ -50,12 +50,13 @@ def rank_deficient_map(rng, n: int) -> hk.QuadraticMap:
     return hk.QuadraticMap(f, g)
 
 
-def random_parabola(rng, normalized: bool = True):
-    """A parabola in a random frame plus its parametric point function.
+def parabola_map(rng):
+    """A parabola in a random frame, as a curve and as a line image.
 
-    Returns ``(conic, point_at)`` where ``point_at(tau)`` lies on the curve
-    for every real ``tau``.  With ``normalized=False`` the overall sign of
-    the coefficients is random.
+    Returns ``(conic, point_at, fmap)``: the PSD-normalized implicit
+    equation, a parametrization ``point_at(tau)`` of the curve, and the map
+    on R^1 with ``F(tau) = point_at(tau)``, so that the image of the line
+    from ``[0]`` to ``[1]`` is the parabola with line parameter ``tau``.
     """
     phi = rng.uniform(0.0, 2.0 * np.pi)
     rot = np.array([[np.cos(phi), np.sin(phi)],
@@ -63,17 +64,18 @@ def random_parabola(rng, normalized: bool = True):
     r1, r2 = rot[0], rot[1]
     shift = rng.uniform(-3.0, 3.0, size=2)
     c = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
-    mat = np.outer(r2, r2)
-    lin = -2.0 * float(r2 @ shift) * r2 - c * r1
-    const = float(r2 @ shift) ** 2 + c * float(r1 @ shift)
-    rho = 1.0 if normalized else rng.uniform(0.2, 5.0) * rng.choice([-1.0, 1.0])
-    conic = hk.Conic2(rho * mat, rho * lin, rho * const)
+    conic = hk.Conic2(np.outer(r2, r2),
+                      -2.0 * float(r2 @ shift) * r2 - c * r1,
+                      float(r2 @ shift) ** 2 + c * float(r1 @ shift))
 
     def point_at(tau: float) -> np.ndarray:
         local = np.array([tau * tau / c, tau])
         return shift + rot.T @ local
 
-    return conic, point_at
+    # point_at(tau) = shift + (tau^2 / c) r1 + tau r2, one coordinate each
+    fmap = hk.QuadraticMap(*(hk.QuadraticForm([[r1[k] / c]], [r2[k]], shift[k])
+                             for k in (0, 1)))
+    return conic, point_at, fmap
 
 
 def interior_point(conic: hk.Conic2, point_at, rng) -> np.ndarray:

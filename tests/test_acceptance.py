@@ -15,9 +15,9 @@ from hckit.config import DEFAULT_SEARCH
 from hckit.errors import NumericalBreakdown
 from hckit.quadmap import LineImageKind
 from hckit.slemma import Outcome
-from hckit.witness import Branch
-from gen import (interior_point, random_cone, random_form, random_map,
-                 random_parabola, rank_deficient_map, scale_stress_instance,
+from hckit.witness import Branch, _first_crossing
+from gen import (interior_point, parabola_map, random_cone, random_form,
+                 random_map, rank_deficient_map, scale_stress_instance,
                  slater_instance, witness_instance)
 
 DIMS = (1, 2, 3, 6)
@@ -65,36 +65,48 @@ def test_criterion_2_branch_coverage(witness_runs):
 
 
 def test_criterion_3_chord_interior_negative():
+    # the chord lemma on the witness's own side test: a strict convex
+    # combination of two points of a parabola image lies strictly inside
     rng = np.random.default_rng(33)
     worst = -np.inf
     for _ in range(1000):
-        conic, point_at = random_parabola(rng)
+        _, point_at, fmap = parabola_map(rng)
+        img = hk.classify_line_image(fmap, [0.0], [1.0])
+        assert img.kind is LineImageKind.PARABOLA
         t1 = rng.uniform(-4.0, 4.0)
         t2 = rng.uniform(-4.0, 4.0)
         while abs(t1 - t2) < 1e-3:
             t2 = rng.uniform(-4.0, 4.0)
         mix = rng.uniform(0.01, 0.99)
-        value = hk.chord_interior_sign(conic, point_at(t1), point_at(t2), mix)
         z = point_at(t1) + mix * (point_at(t2) - point_at(t1))
-        scale = conic.coefficient_scale() * (1.0 + np.max(np.abs(z))) ** 2
-        assert value < 1e-7 * scale
-        worst = max(worst, value / scale)
+        value = img.side(z)
+        assert value < 0.0
+        worst = max(worst, value / (1.0 + np.max(np.abs(z))))
     print(f"ACCEPTANCE 3 chord interior sign: PASS "
-          f"(1000 chords, worst relative value {worst:.3e} < 1e-7)")
+          f"(1000 chords, worst relative side {worst:.3e} < 0)")
 
 
 def test_criterion_4_backward_ray_hit():
+    # the ray lemma on the witness's own crossing search: from a point
+    # inside, the nearer of the backward rays z - tau*b, z - tau*c meets
+    # the parabola image
     rng = np.random.default_rng(44)
+    root_tol = hk.DEFAULT_TOLERANCES.root_tol
     worst = 0.0
     for _ in range(1000):
-        conic, point_at = random_parabola(rng)
+        conic, point_at, fmap = parabola_map(rng)
         cone = random_cone(rng)
         z = interior_point(conic, point_at, rng)
-        hit = hk.first_negative_ray_hit(conic, z, cone)
-        scale = conic.coefficient_scale() * (1.0 + np.max(np.abs(hit.point))) ** 2
-        resid = abs(conic.evaluate(hit.point))
-        assert resid <= 1e-8 * scale
-        worst = max(worst, resid / scale)
+        co = hk.classify_line_image(fmap, [0.0], [1.0]).coeffs
+        step = root_tol * (1.0 + np.max(np.abs(z)))
+        hits = [(found[1], found[0], d) for d in (cone.b, cone.c)
+                if (found := _first_crossing(co, z, d, np.inf, step)) is not None]
+        assert hits, "neither backward ray meets the parabola"
+        tau, t, d = min(hits, key=lambda hit: hit[0])
+        point = z - tau * d
+        resid = np.max(np.abs(point - co.at(t))) / (1.0 + np.max(np.abs(point)))
+        assert resid <= 1e-8
+        worst = max(worst, resid)
     print(f"ACCEPTANCE 4 backward ray hit: PASS "
           f"(1000 instances, worst relative residual {worst:.3e} <= 1e-8)")
 
@@ -130,7 +142,7 @@ def test_criterion_5_line_image_soundness():
                 assert (pt - img.apex) @ dn >= -1e-7 * (1.0 + np.max(np.abs(pt)))
         t0 = rng.uniform(-2, 2)
         target = hk.eval_map(fmap, xb + t0 * d)
-        x = hk.preimage_on_line(img, xb, yb, target)
+        x = hk.preimage_on_line(img, target)
         scale = img.coeffs.scale()
         assert np.max(np.abs(hk.eval_map(fmap, x) - target)) <= 1e-6 * scale
         done += 1

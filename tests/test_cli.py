@@ -325,7 +325,7 @@ class TestProblemFiles:
     def test_retired_tolerance_ignored(self, tmp_path, capsys):
         # retired tolerances are no longer read; files naming them still load
         retired = {"rescue_factor": 100.0, "jacobi_off_tol": 1e-12,
-                   "jacobi_max_sweeps": 100}
+                   "jacobi_max_sweeps": 100, "class_tol": 1e-9}
         problem = parse_problem(json.dumps({
             "schema_version": "1", "dimension": 1,
             "P": [1.0], "p": [0.0], "p0": 0.0,
@@ -340,7 +340,7 @@ class TestProblemFiles:
         assert code == 0
         listed = json.loads(out)["tolerances"]
         assert not set(retired) & set(listed)
-        assert len(listed) == 12
+        assert len(listed) == 11
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)

@@ -32,3 +32,12 @@ def test_every_error_is_raised():
                 and cls is not errors.HckError
                 and not re.search(rf"raise {name}\(", source)]
     assert unraised == []
+
+
+def test_every_export_resolves():
+    # a stale name in __all__ only fails at "from hckit import *"
+    missing = [name for name in hckit.__all__ if not hasattr(hckit, name)]
+    assert missing == []
+    from hckit.conic2d import Conic2
+
+    assert hckit.Conic2 is Conic2

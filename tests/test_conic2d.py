@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-import hckit as hk
-from hckit.conic2d import Conic2, ConicClass, RayHit
-from hckit.errors import (IdenticallyZero, LemmaViolated, NotAParabola,
-                          PreconditionViolated)
-from gen import interior_point, random_cone, random_parabola
+from hckit.conic2d import Conic2
 
 
 def std_parabola() -> Conic2:
@@ -31,202 +27,3 @@ class TestEval:
         with pytest.raises(ValueError):
             Conic2(np.zeros((2, 2)), [0.0, 0.0], 1.0)
 
-
-class TestClassify:
-    @pytest.mark.parametrize("conic, expected", [
-        (Conic2(np.diag([1.0, 1.0]), [0, 0], -1.0), ConicClass.ELLIPSE),
-        (Conic2(np.diag([1.0, -1.0]), [0, 0], -1.0), ConicClass.HYPERBOLA),
-        (Conic2(np.diag([0.0, 1.0]), [-1.0, 0.0], 0.0), ConicClass.PARABOLA),
-        (Conic2(np.diag([1.0, 1.0]), [0, 0], 0.0), ConicClass.DEGENERATE_POINT),
-        (Conic2(np.diag([1.0, 1.0]), [0, 0], 1.0), ConicClass.EMPTY),
-        (Conic2(np.diag([1.0, -1.0]), [0, 0], 0.0), ConicClass.DEGENERATE_LINES),
-        (Conic2(np.diag([0.0, 1.0]), [0, 0], -1.0), ConicClass.DEGENERATE_LINES),
-        (Conic2(np.diag([0.0, 1.0]), [0, 0], 1.0), ConicClass.EMPTY),
-        (Conic2(np.zeros((2, 2)), [1.0, 0.0], 3.0), ConicClass.DEGENERATE_LINES),
-    ])
-    def test_families(self, conic, expected):
-        assert hk.classify(conic) is expected
-
-    def test_scalar_invariance(self):
-        rng = np.random.default_rng(21)
-        scalars = [1e6, 1e-6, -1e6, -1e-6]
-        for _ in range(50):
-            conic, _ = random_parabola(rng, normalized=False)
-            tag = hk.classify(conic)
-            for k in scalars:
-                scaled = Conic2(k * conic.A, k * conic.a, k * conic.a0)
-                assert hk.classify(scaled) is tag
-
-    def test_scalar_invariance_other_families(self):
-        for conic in (unit_circle(),
-                      Conic2(np.diag([1.0, -1.0]), [0.3, 0.1], -1.0)):
-            tag = hk.classify(conic)
-            for k in (1e6, 1e-6, -1e6, -1e-6):
-                scaled = Conic2(k * conic.A, k * conic.a, k * conic.a0)
-                assert hk.classify(scaled) is tag
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            hk.classify(unit_circle(), tol=0.0)
-
-
-class TestNormalizeParabola:
-    def test_sign_flip(self):
-        flipped = Conic2(np.diag([0.0, -1.0]), [1.0, 0.0], 0.0)
-        fixed = hk.normalize_parabola(flipped)
-        np.testing.assert_allclose(fixed.A, np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(fixed.a, [-1.0, 0.0])
-
-    def test_already_normalized(self):
-        p = std_parabola()
-        out = hk.normalize_parabola(p)
-        np.testing.assert_array_equal(out.A, p.A)
-        np.testing.assert_array_equal(out.a, p.a)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            conic, _ = random_parabola(rng, normalized=False)
-            once = hk.normalize_parabola(conic)
-            twice = hk.normalize_parabola(once)
-            np.testing.assert_array_equal(once.A, twice.A)
-            np.testing.assert_array_equal(once.a, twice.a)
-            assert once.a0 == twice.a0
-
-    def test_rejects_non_parabola(self):
-        with pytest.raises(NotAParabola):
-            hk.normalize_parabola(unit_circle())
-
-
-class TestChordInteriorSign:
-    def test_midpoint(self):
-        assert hk.chord_interior_sign(std_parabola(), (1, 1), (1, -1), 0.5) == -1.0
-
-    def test_asymmetric_chord(self):
-        assert hk.chord_interior_sign(std_parabola(), (0, 0), (4, 2), 0.5) == -1.0
-
-    def test_continuity_at_endpoint(self):
-        val = hk.chord_interior_sign(std_parabola(), (1, 1), (4, 2), 1e-8)
-        assert -1e-6 < val < 0.0
-
-    def test_off_curve_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            hk.chord_interior_sign(std_parabola(), (1, 0), (1, -1), 0.5)
-
-    def test_bad_t_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            hk.chord_interior_sign(std_parabola(), (1, 1), (1, -1), 1.0)
-
-    def test_non_parabola_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            hk.chord_interior_sign(unit_circle(), (1, 0), (0, 1), 0.5)
-
-    def test_interior_always_negative(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            conic, point_at = random_parabola(rng)
-            t1, t2 = rng.uniform(-4, 4, 2)
-            while abs(t1 - t2) < 1e-3:
-                t2 = rng.uniform(-4, 4)
-            z = rng.uniform(0.01, 0.99)
-            val = hk.chord_interior_sign(conic, point_at(t1), point_at(t2), z)
-            mid = point_at(t1) + z * (point_at(t2) - point_at(t1))
-            scale = conic.coefficient_scale() * (1 + np.max(np.abs(mid))) ** 2
-            assert val < 1e-7 * scale
-
-
-class TestRayIntersections:
-    def test_horizontal_ray(self):
-        roots = hk.ray_intersections(std_parabola(), (1.0, 0.0), (1.0, 0.0))
-        assert roots == pytest.approx([-1.0])
-
-    def test_vertical_keeps_negative_root(self):
-        roots = hk.ray_intersections(std_parabola(), (1.0, 0.0), (0.0, 1.0))
-        assert roots == pytest.approx([-1.0])
-
-    def test_circle_two_roots_sorted(self):
-        roots = hk.ray_intersections(unit_circle(), (3.0, 0.0), (1.0, 0.0))
-        assert roots == pytest.approx([-2.0, -4.0])
-
-    def test_no_roots(self):
-        assert hk.ray_intersections(unit_circle(), (3.0, 0.0), (0.0, 1.0)) == []
-
-    def test_identically_zero(self):
-        double_line = Conic2(np.diag([1.0, 0.0]), [0.0, 0.0], 0.0)
-        with pytest.raises(IdenticallyZero):
-            hk.ray_intersections(double_line, (0.0, 5.0), (0.0, 1.0))
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            hk.ray_intersections(std_parabola(), (1.0, 0.0), (0.0, 0.0))
-
-    def test_root_residuals(self):
-        rng = np.random.default_rng(17)
-        checked = 0
-        while checked < 500:
-            conic, point_at = random_parabola(rng, normalized=False)
-            z = rng.uniform(-4, 4, 2)
-            d = rng.uniform(-1, 1, 2)
-            if np.max(np.abs(d)) < 1e-3:
-                continue
-            roots = hk.ray_intersections(conic, z, d)
-            for t in roots:
-                hit = z + t * d
-                scale = conic.coefficient_scale() * (1 + np.max(np.abs(hit))) ** 2
-                assert abs(conic.evaluate(hit)) <= 1e-8 * scale
-            checked += 1
-
-
-class TestFirstNegativeRayHit:
-    def test_axis_hit(self):
-        k = hk.positive_quadrant()
-        hit = hk.first_negative_ray_hit(std_parabola(), (1.0, 0.0), k)
-        assert isinstance(hit, RayHit)
-        assert hit.direction_label == "b"
-        assert hit.t == pytest.approx(-1.0)
-        np.testing.assert_allclose(hit.point, [0.0, 0.0], atol=1e-12)
-
-    def test_shifted_start(self):
-        k = hk.positive_quadrant()
-        hit = hk.first_negative_ray_hit(std_parabola(), (4.0, 1.0), k)
-        assert hit.direction_label == "b"
-        assert hit.t == pytest.approx(-3.0)
-        np.testing.assert_allclose(hit.point, [1.0, 1.0], atol=1e-12)
-
-    def test_nonnegative_form_rejected(self):
-        # y1^2 >= 0 everywhere: the interior hypothesis cannot hold
-        square = Conic2(np.diag([1.0, 0.0]), [0.0, 0.0], 0.0)
-        with pytest.raises(PreconditionViolated):
-            hk.first_negative_ray_hit(square, (0.0, 0.0), hk.positive_quadrant())
-
-    def test_positive_point_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            hk.first_negative_ray_hit(std_parabola(), (-1.0, 0.0),
-                                      hk.positive_quadrant())
-
-    def test_hit_always_exists(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            conic, point_at = random_parabola(rng)
-            cone = random_cone(rng)
-            z = interior_point(conic, point_at, rng)
-            hit = hk.first_negative_ray_hit(conic, z, cone)
-            assert hit.t <= hk.DEFAULT_TOLERANCES.root_tol
-            scale = conic.coefficient_scale() * (1 + np.max(np.abs(hit.point))) ** 2
-            assert abs(conic.evaluate(hit.point)) <= 1e-8 * scale
-
-    def test_breakdown_is_loud(self):
-        # a parabola opening away from both rays, but with psi(z) < 0 the
-        # geometry guarantees a hit; verify the error path exists by feeding
-        # an inconsistent cap through monkeypatched intersections
-        conic = std_parabola()
-        k = hk.positive_quadrant()
-        import hckit.conic2d as c2
-
-        original = c2.ray_intersections
-        try:
-            c2.ray_intersections = lambda *a, **kw: []
-            with pytest.raises(LemmaViolated):
-                hk.first_negative_ray_hit(conic, (1.0, 0.0), k)
-        finally:
-            c2.ray_intersections = original
