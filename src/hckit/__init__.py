@@ -9,17 +9,15 @@ two-quadratic alternative (multiplier vs. counterexample), and restricts
 everything to affine manifolds.
 """
 
-from .config import DEFAULT_SEARCH, DEFAULT_TOLERANCES, SearchConfig, ToleranceConfig
+from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .cone2d import Cone2, ConeCoords, contains, coords, make_cone, positive_quadrant
 from .conic2d import Conic2
 from .quadmap import (AffineManifold, LineImage, LineImageKind, QuadraticForm,
                       QuadraticMap, classify_line_image, eval_map, line_coeffs,
                       manifold_from_linear_system, preimage_on_line,
                       restrict_to_manifold)
-from .slemma import (OracleVerdict, Outcome, SLemmaVerdict, brute_force_oracle,
-                     decide, dual_lower_bound, dual_value, slater_check)
-from .smallmat import (EigenDecomp, MinResult, eigh, min_of_quadratic,
-                       null_space_basis, numerical_rank, symmetrize)
+from .slemma import Outcome, SLemmaVerdict, decide, dual_lower_bound, slater_check
+from .smallmat import EigenDecomp, MinResult, eigh, min_of_quadratic, symmetrize
 from .witness import (Branch, ConePoint, ConvexityReport, WitnessCertificate,
                       cone_point, convexity_probe, verify_certificate,
                       witness_convex_combination)
@@ -28,15 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineManifold", "Branch", "Cone2", "ConeCoords", "ConePoint",
-    "Conic2", "ConvexityReport", "DEFAULT_SEARCH", "DEFAULT_TOLERANCES",
-    "EigenDecomp", "LineImage", "LineImageKind", "MinResult",
-    "OracleVerdict", "Outcome", "QuadraticForm", "QuadraticMap",
-    "SLemmaVerdict", "SearchConfig", "ToleranceConfig",
-    "WitnessCertificate", "brute_force_oracle", "classify_line_image",
-    "cone_point", "contains", "convexity_probe", "coords", "decide",
-    "dual_lower_bound", "dual_value", "eigh", "eval_map", "line_coeffs",
+    "Conic2", "ConvexityReport", "DEFAULT_TOLERANCES", "EigenDecomp",
+    "LineImage", "LineImageKind", "MinResult", "Outcome", "QuadraticForm",
+    "QuadraticMap", "SLemmaVerdict", "ToleranceConfig", "WitnessCertificate",
+    "classify_line_image", "cone_point", "contains", "convexity_probe",
+    "coords", "decide", "dual_lower_bound", "eigh", "eval_map", "line_coeffs",
     "make_cone", "manifold_from_linear_system", "min_of_quadratic",
-    "null_space_basis", "numerical_rank", "positive_quadrant",
-    "preimage_on_line", "restrict_to_manifold", "slater_check",
-    "symmetrize", "verify_certificate", "witness_convex_combination",
+    "positive_quadrant", "preimage_on_line", "restrict_to_manifold",
+    "slater_check", "symmetrize", "verify_certificate",
+    "witness_convex_combination",
 ]

@@ -32,7 +32,6 @@ import time
 import numpy as np
 
 from . import quadmap, slemma, witness
-from .config import DEFAULT_SEARCH
 from .errors import (DegenerateLine, HckError, NumericalBreakdown,
                      PreconditionViolated, ProblemFileError, SlaterViolated)
 from .problemio import (Problem, dump_envelope, load_problem, result_envelope,
@@ -184,7 +183,7 @@ def _cmd_witness(args, argv) -> int:
         cert = witness.WitnessCertificate(x_star, e_star, branch,
                                           witness.WitnessTrace())
         start = time.perf_counter()
-        ok = witness.verify_certificate(fmap, cone, w, cert, cfg.cert_tol, cfg)
+        ok = witness.verify_certificate(fmap, cone, w, cert, cfg)
         env = result_envelope(argv, problem.digest,
                               {"verification": "pass" if ok else "fail",
                                "w": w, "x_star": x_star, "e_star": e_star},
@@ -217,7 +216,7 @@ def _cmd_witness(args, argv) -> int:
                               trace=trace)
         _emit(args, dump_envelope(env))
         return EXIT_BREAKDOWN
-    verified = witness.verify_certificate(fmap, cone, w, cert, cfg.cert_tol, cfg)
+    verified = witness.verify_certificate(fmap, cone, w, cert, cfg)
     _log.debug("witness branch=%s image=%s crossing=%s tau=%.17g",
                cert.branch.value, cert.trace.image_kind,
                cert.trace.ray_direction or "-", cert.trace.ray_t)
@@ -248,10 +247,9 @@ def _cmd_slemma(args, argv) -> int:
     x_star = _parse_vector(args.x_star, problem.map.n, "--x-star")
     if problem.manifold is not None:
         x_star = problem.manifold.basis.T @ (x_star - problem.manifold.x0)
-    search = DEFAULT_SEARCH
     start = time.perf_counter()
     try:
-        verdict = slemma.decide(fmap.f, fmap.g, x_star, search, cfg)
+        verdict = slemma.decide(fmap.f, fmap.g, x_star, cfg)
     except SlaterViolated as exc:
         raise _CliError(EXIT_SLATER, f"Slater check failed: {exc}")
     payload: dict = {"outcome": verdict.outcome.value,
@@ -276,6 +274,8 @@ def _cmd_sample(args, argv) -> int:
         raise _CliError(EXIT_VALIDATION, "--count must be at least 1")
     if args.box < 0.0:
         raise _CliError(EXIT_VALIDATION, "--box must be nonnegative")
+    if not math.isfinite(2.0 * args.box):
+        raise _CliError(EXIT_VALIDATION, "--box is too large: 2 * box overflows")
     fmap, _ = _restricted(problem)
     cone = problem.cone
     rng = np.random.default_rng(args.seed)
@@ -301,7 +301,7 @@ def _cmd_verify_convexity(args, argv) -> int:
         if problem.manifold is None:
             raise _CliError(EXIT_VALIDATION,
                             "--rho requires a manifold in the problem file")
-        bound = slemma.dual_lower_bound(fmap.f, fmap.g, DEFAULT_SEARCH, cfg)
+        bound = slemma.dual_lower_bound(fmap.f, fmap.g, cfg)
         if not np.isfinite(bound):
             raise _CliError(EXIT_VALIDATION,
                             "cannot validate --rho: dual value is nowhere finite")

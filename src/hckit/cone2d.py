@@ -7,6 +7,7 @@ decomposition questions reduce to 2x2 coordinate arithmetic in the basis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ class Cone2:
 
     ``det`` is ``b x c`` and ``b_norm``, ``c_norm`` are ``|b|``, ``|c|``;
     all are fixed at construction, so coordinate queries take no norms.
+    They are taken on Python floats with ``math.hypot``, so an overflow
+    gives an infinite or NaN value and no warning.
     """
 
     b: np.ndarray
@@ -36,9 +39,10 @@ class Cone2:
         c.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "det", float(b[0] * c[1] - b[1] * c[0]))
-        object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
-        object.__setattr__(self, "c_norm", float(np.linalg.norm(c)))
+        (b0, b1), (c0, c1) = b.tolist(), c.tolist()
+        object.__setattr__(self, "det", b0 * c1 - b1 * c0)
+        object.__setattr__(self, "b_norm", math.hypot(b0, b1))
+        object.__setattr__(self, "c_norm", math.hypot(c0, c1))
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,8 @@ class ConeCoords:
 def make_cone(b, c, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Cone2:
     """Validated constructor; raises :class:`DegenerateCone` on dependence."""
     cone = Cone2(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-    if abs(cone.det) <= cfg.indep_tol * cone.b_norm * cone.c_norm:
+    # written so that a NaN bound (inf * 0 from an overflowing norm) counts
+    if not abs(cone.det) > cfg.indep_tol * cone.b_norm * cone.c_norm:
         raise DegenerateCone(
             f"generators are numerically dependent (|det| = {abs(cone.det):.3e})"
         )
@@ -71,21 +76,16 @@ def coords(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Con
     no warning.
     """
     p0, p1 = np.asarray(point, dtype=float).reshape(2).tolist()
-    if abs(cone.det) <= cfg.indep_tol * cone.b_norm * cone.c_norm:
+    if not abs(cone.det) > cfg.indep_tol * cone.b_norm * cone.c_norm:
         raise DegenerateCone("cone generators are numerically dependent")
     (b0, b1), (c0, c1) = cone.b.tolist(), cone.c.tolist()
     return ConeCoords((p0 * c1 - p1 * c0) / cone.det, (b0 * p1 - b1 * p0) / cone.det)
 
 
-def contains(cone: Cone2, point, tol: float | None = None,
-             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership test: both coordinates at least ``-tol``."""
-    if tol is None:
-        tol = cfg.cone_tol
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+def contains(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    """Membership test: both coordinates at least ``-cfg.cone_tol``."""
     co = coords(cone, point, cfg)
-    return co.lam >= -tol and co.bet >= -tol
+    return co.lam >= -cfg.cone_tol and co.bet >= -cfg.cone_tol
 
 
 def sample(cone: Cone2, radius: float, rng_seed) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Tolerance configuration shared by every numerical routine in the package.
 
 A single immutable value is threaded through all modules so that there is one
-knob surface.  Every threshold below is relative to a locally computed scale
-unless noted otherwise, and every field is read by some code path: the
-eigendecomposition and SVD come from LAPACK and take no knobs of their own,
-and the parabola facts the witness uses run on the image polynomials, which
-take no conic classification threshold.  Problem files may still name a
-retired field (see ``hckit.problemio.RETIRED_TOLERANCES``); it is ignored.
+knob surface: no function takes a per-call tolerance that shadows a field
+here, and the decision procedure's fixed bracket and margins are module
+constants of :mod:`hckit.slemma`.  Every threshold below is relative to a
+locally computed scale unless noted otherwise, and every field is read by
+some code path: the eigendecomposition and SVD come from LAPACK and take no
+knobs of their own, and the parabola facts the witness uses run on the image
+polynomials, which take no conic classification threshold.  Problem files
+may still name a retired field (see ``hckit.problemio.RETIRED_TOLERANCES``);
+it is ignored.
 """
 
 from __future__ import annotations
@@ -44,15 +47,3 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the multiplier/counterexample search in :mod:`hckit.slemma`."""
-
-    lambda_max: float = 1e6            # right end of the multiplier bracket
-    slack: float = 1e-7                # dual value >= -slack counts as a multiplier
-    strict_margin: float = 1e-10       # g(x*) < -margin (Slater); f(x) < -margin
-    feas_tol: float = 1e-9             # g(x) <= feas_tol for a counterexample
-
-
-DEFAULT_SEARCH = SearchConfig()

@@ -54,10 +54,6 @@ class SlaterViolated(HckError):
     """The provided point does not strictly satisfy the constraint."""
 
 
-class DimensionTooLarge(HckError):
-    """Brute-force oracle only supports very small dimensions."""
-
-
 class ProblemFileError(HckError):
     """Problem description file failed validation.
 

@@ -25,7 +25,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
                      NotOnImage)
-from .smallmat import _min_norm, _svd, quadratic_roots, symmetrize
+from .smallmat import _lapack, quadratic_roots
 
 
 @dataclass(frozen=True)
@@ -410,23 +410,26 @@ def restrict_to_manifold(fmap: QuadraticMap, manifold: AffineManifold,
     def one(q: QuadraticForm) -> QuadraticForm:
         mat = k.T @ q.matrix @ k
         lin = k.T @ (2.0 * (q.matrix @ x0) + q.linear)
-        return QuadraticForm(symmetrize(mat) if mat.size else mat, lin, q(x0))
+        return QuadraticForm(mat, lin, q(x0))
 
     return QuadraticMap(one(fmap.f), one(fmap.g))
 
 
-def manifold_from_linear_system(matrix, rhs, tol: float | None = None,
+def manifold_from_linear_system(matrix, rhs,
                                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> AffineManifold:
     """Solution set of ``H x = d`` as an affine manifold.
 
     ``x0`` is the minimum-norm solution and the basis spans ``ker H``, both
-    from one SVD ``H = U diag(s) V^T``.  A system whose residual exceeds the
-    backward-error bound ``tol * (|d| + s[0] |x0|)`` (no relative change of
-    size ``tol`` in ``H`` and ``d`` makes ``x0`` exact) raises
-    :class:`InconsistentSystem`.  A 0-row ``H`` encodes "no constraints".
+    from one SVD ``H = U diag(s) V^T``: the rank counts ``s > tol * s[0]``
+    with ``tol = cfg.rank_tol``, ``x0 = V_r diag(1/s_r) U_r^T d`` and the
+    basis is the right singular vectors past the rank.  A system whose
+    residual exceeds the backward-error bound ``tol * (|d| + s[0] |x0|)``
+    (no relative change of size ``tol`` in ``H`` and ``d`` makes ``x0``
+    exact) raises :class:`InconsistentSystem`.  A 0-row ``H`` encodes "no
+    constraints".  A non-finite entry or an SVD failure raises
+    :class:`InternalNumerics`.
     """
-    if tol is None:
-        tol = cfg.rank_tol
+    tol = cfg.rank_tol
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {h.shape}")
@@ -436,9 +439,9 @@ def manifold_from_linear_system(matrix, rhs, tol: float | None = None,
         raise DimensionMismatch(f"rhs has length {d.shape[0]}, H has {m} rows")
     if m == 0:
         return AffineManifold(np.zeros(n), np.eye(n))
-    svd = _svd(h, tol, cfg)
-    _, s, vt, rank = svd
-    x0 = _min_norm(svd, d)
+    u, s, vt = _lapack(np.linalg.svd, h)
+    rank = int(np.count_nonzero(s > tol * s[0]))
+    x0 = vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
     resid = float(np.linalg.norm(h @ x0 - d))
     if resid > tol * (float(np.linalg.norm(d)) + s[0] * float(np.linalg.norm(x0))):
         raise InconsistentSystem(f"H x = d is inconsistent (residual {resid:.3e})")

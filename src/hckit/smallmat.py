@@ -1,13 +1,12 @@
 """Dense small-scale real linear algebra used by every other module.
 
-Provides the symmetric eigendecomposition, numerical rank, null-space bases
-and minimum-norm solutions of rectangular systems, global minimization of a
-quadratic function, and the real roots of a scalar quadratic.  The matrix
-work is LAPACK through numpy: ``np.linalg.eigh`` for symmetric matrices and
-one ``np.linalg.svd`` of ``H`` for rank, kernel and min-norm solves, with
-the singular-value cut ``s > rank_tol * s[0]``.  Everything is plain
-``float64`` at desk scale (n up to a few hundred); there is no sparse or
-complex support.
+Provides the symmetric eigendecomposition, global minimization of a
+quadratic function, the real roots of a scalar quadratic, and the LAPACK
+guard shared with :func:`hckit.quadmap.manifold_from_linear_system` (whose
+one SVD gives rank, kernel and min-norm solution).  The matrix work is
+LAPACK through numpy, ``np.linalg.eigh`` for symmetric matrices.
+Everything is plain ``float64`` at desk scale (n up to a few hundred);
+there is no sparse or complex support.
 """
 
 from __future__ import annotations
@@ -55,70 +54,18 @@ class EigenDecomp:
     eigenvectors: np.ndarray
 
 
-def eigh(matrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> EigenDecomp:
+def eigh(matrix) -> EigenDecomp:
     """Diagonalize a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     The input is symmetrized first, so mildly asymmetric storage is accepted.
     Deterministic for identical input.  A non-finite entry or a LAPACK
-    failure raises :class:`InternalNumerics`.  ``cfg`` is not read: LAPACK
-    takes no tolerance.
+    failure raises :class:`InternalNumerics`.
     """
     a = symmetrize(matrix)
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
     lam, vecs = _lapack(np.linalg.eigh, a)
     return EigenDecomp(lam, vecs)
-
-
-def _svd(matrix, tol: float | None, cfg: ToleranceConfig):
-    """Full SVD ``H = U diag(s) V^T`` and the numerical rank ``#{s > tol*s[0]}``."""
-    if tol is None:
-        tol = cfg.rank_tol
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {h.shape}")
-    u, s, vt = _lapack(np.linalg.svd, h)
-    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
-    return u, s, vt, rank
-
-
-def numerical_rank(matrix, tol: float | None = None,
-                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    return _svd(matrix, tol, cfg)[3]
-
-
-def null_space_basis(matrix, tol: float | None = None,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal basis of the (numerical) kernel of an m-by-n matrix.
-
-    Returns an n-by-k array whose columns span ``{x : H x = 0}`` with
-    ``k = n - numerical_rank(H)``: the right singular vectors past the
-    rank.  An empty matrix (m = 0) encodes "no constraints" and yields an
-    orthonormal basis of R^n.  ``k`` may be 0.
-    """
-    _, _, vt, rank = _svd(matrix, tol, cfg)
-    return vt[rank:].T.copy()
-
-
-def min_norm_solution(matrix, rhs, tol: float | None = None,
-                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Minimum-norm solution of ``H x = d`` through the SVD pseudoinverse.
-
-    Singular values at or below ``tol`` times the largest are treated as
-    zero.  Does not check consistency; callers compare the residual
-    themselves.
-    """
-    return _min_norm(_svd(matrix, tol, cfg), rhs)
-
-
-def _min_norm(svd, rhs) -> np.ndarray:
-    """The pseudoinverse solve ``V_r diag(1/s_r) U_r^T d`` from :func:`_svd`."""
-    u, s, vt, rank = svd
-    d = np.asarray(rhs, dtype=float).reshape(-1)
-    return vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
 
 
 @dataclass(frozen=True)
@@ -151,7 +98,7 @@ def min_of_quadratic(matrix, linear, constant: float,
     """
     m0 = float(constant)
     mvec = np.asarray(linear, dtype=float)
-    dec = eigh(matrix, cfg)
+    dec = eigh(matrix)
     lam = dec.eigenvalues
     vecs = dec.eigenvectors
     scale = 1.0 + float(np.max(np.abs(lam)))

@@ -70,7 +70,7 @@ def cone_point(fmap: QuadraticMap, cone: cone2d.Cone2, x, e,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ConePoint:
     """Validated constructor: checks ``e`` is in the cone."""
     ev = np.asarray(e, dtype=float).reshape(2)
-    if not cone2d.contains(cone, ev, cfg.cone_tol, cfg):
+    if not cone2d.contains(cone, ev, cfg):
         raise PreconditionViolated("e is not a cone element")
     return ConePoint(x=np.asarray(x, dtype=float), e=ev,
                      value=eval_map(fmap, x) + ev)
@@ -174,7 +174,7 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     def finish(x_star, e_star, branch: Branch) -> WitnessCertificate:
         x_star = np.asarray(x_star, dtype=float).reshape(-1)
         e_star = np.asarray(e_star, dtype=float).reshape(2)
-        if not _holds(fmap, cone, w.tolist(), x_star, e_star, cfg.cert_tol, cfg):
+        if not _holds(fmap, cone, w.tolist(), x_star, e_star, cfg):
             raise NumericalBreakdown(
                 f"{branch.value} certificate fails verification", trace)
         return WitnessCertificate(x_star, e_star, branch, trace)
@@ -237,8 +237,8 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
 
 
 def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
-           tol: float, cfg: ToleranceConfig) -> bool:
-    """``F(x*) + e* = w`` to relative ``tol`` and ``e*`` in the cone.
+           cfg: ToleranceConfig) -> bool:
+    """``F(x*) + e* = w`` to relative ``tol = cfg.cert_tol`` and ``e*`` in the cone.
 
     The cone coordinates of ``e*`` may fall below zero by
     ``tol * (1 + |e*| |c| / |det|)`` (on b) and ``tol * (1 + |e*| |b| / |det|)``
@@ -248,6 +248,7 @@ def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
     """
     if not np.isfinite(x_star).all():
         return False
+    tol = cfg.cert_tol
     e = np.asarray(e_star, dtype=float).reshape(2)
     e0, e1 = e.tolist()
     v0, v1 = eval_map(fmap, x_star).tolist()
@@ -270,14 +271,14 @@ def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
 
 
 def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
-                       cert: WitnessCertificate, tol: float | None = None,
+                       cert: WitnessCertificate,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Recheck ``F(x*) + e* = w`` and cone membership from scratch.
 
     Shares no intermediate state with the constructor: everything is
-    recomputed from the certificate fields.  The residual is relative to
-    the largest of ``|w|``, ``|F(x*) + e*|`` and ``|e*|`` (plus one).  The
-    cone coordinate of ``e*`` on ``b`` may be negative down to
+    recomputed from the certificate fields.  With ``tol = cfg.cert_tol``,
+    the residual is relative to the largest of ``|w|``, ``|F(x*) + e*|``
+    and ``|e*|`` (plus one).  The cone coordinate of ``e*`` on ``b`` may be negative down to
     ``-tol * (1 + |e*| |c| / |det|)``, and the one on ``c`` down to
     ``-tol * (1 + |e*| |b| / |det|)`` (Euclidean norms, ``det = b x c``),
     the rounding of each coordinate's Cramer numerator.  So a large ``e*``
@@ -287,10 +288,8 @@ def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
     non-finite entry in ``x*``, ``e*`` or ``w``, or a slack or coordinate
     that overflows, never verifies.
     """
-    if tol is None:
-        tol = cfg.cert_tol
     return _holds(fmap, cone, np.asarray(w, dtype=float).reshape(2).tolist(),
-                  cert.x_star, cert.e_star, tol, cfg)
+                  cert.x_star, cert.e_star, cfg)
 
 
 @dataclass
@@ -332,6 +331,8 @@ def convexity_probe(fmap: QuadraticMap, cone: cone2d.Cone2, trials: int,
         raise PreconditionViolated("trials must be at least 1")
     if box_radius <= 0.0:
         raise PreconditionViolated("box_radius must be positive")
+    if not math.isfinite(2.0 * box_radius):
+        raise PreconditionViolated("box_radius is too large: 2 * box_radius overflows")
     failures: list[TrialFailure] = []
     max_residual = 0.0
     branch_counts: dict[str, int] = {b.value: 0 for b in Branch}
@@ -357,7 +358,7 @@ def convexity_probe(fmap: QuadraticMap, cone: cone2d.Cone2, trials: int,
         branch_counts[cert.branch.value] += 1
         resid = float(np.max(np.abs(eval_map(fmap, cert.x_star) + cert.e_star - w)))
         max_residual = max(max_residual, resid)
-        if not verify_certificate(fmap, cone, w, cert, cfg.cert_tol, cfg):
+        if not verify_certificate(fmap, cone, w, cert, cfg):
             failures.append(TrialFailure(trial, pu.value, pv.value, alpha,
                                          f"verification failed (residual {resid:.3e})"))
     summary = (f"n={n}, trials={trials}, failures={len(failures)}, "

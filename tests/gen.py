@@ -7,6 +7,8 @@ import numpy as np
 import hckit as hk
 from hckit import cone2d
 
+EXACT = hk.DEFAULT_TOLERANCES.with_overrides(cone_tol=0.0)   # no membership slack
+
 
 def random_cone(rng, min_angle_deg: float = 5.0,
                 angle_deg: float | None = None) -> hk.Cone2:
@@ -124,7 +126,7 @@ def witness_instance(rng, n: int, box: float = 5.0):
             xu = rng.uniform(-box, box, size=n)
             xv = rng.uniform(-box, box, size=n)
             gap = hk.eval_map(fmap, xv) - hk.eval_map(fmap, xu)
-            if hk.contains(cone, gap, 0.0):
+            if hk.contains(cone, gap, EXACT):
                 break
         else:
             xu = xv = rng.uniform(-box, box, size=n)

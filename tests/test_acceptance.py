@@ -11,14 +11,17 @@ import numpy as np
 import pytest
 
 import hckit as hk
-from hckit.config import DEFAULT_SEARCH
 from hckit.errors import NumericalBreakdown
 from hckit.quadmap import LineImageKind
-from hckit.slemma import Outcome
+from hckit.slemma import FEAS_TOL, SLACK, STRICT_MARGIN, Outcome
 from hckit.witness import Branch, _first_crossing
 from gen import (interior_point, parabola_map, random_cone, random_form,
                  random_map, rank_deficient_map, scale_stress_instance,
                  slater_instance, witness_instance)
+from oracle import brute_force_oracle
+
+# criterion 1 verifies at 1e-6, whatever the default cert_tol
+VERIFY_CFG = hk.DEFAULT_TOLERANCES.with_overrides(cert_tol=1e-6)
 
 DIMS = (1, 2, 3, 6)
 TRIALS_PER_DIM = 1000
@@ -36,7 +39,7 @@ def witness_runs():
             w = alpha * pu.value + (1 - alpha) * pv.value
             start = time.perf_counter()
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
-            ok = hk.verify_certificate(fmap, cone, w, cert, 1e-6)
+            ok = hk.verify_certificate(fmap, cone, w, cert, VERIFY_CFG)
             elapsed += time.perf_counter() - start
             certs.append((n, cert, ok))
     return certs, elapsed
@@ -152,7 +155,7 @@ def test_criterion_5_line_image_soundness():
 
 def test_criterion_6_slemma_cross_validation():
     rng = np.random.default_rng(66)
-    margin = 2.0 * DEFAULT_SEARCH.slack
+    margin = 2.0 * SLACK
     undecided = 0
     outcomes = {o: 0 for o in Outcome}
     for _ in range(300):
@@ -161,12 +164,12 @@ def test_criterion_6_slemma_cross_validation():
         verdict = hk.decide(f, g, x_star)
         outcomes[verdict.outcome] += 1
         if verdict.outcome is Outcome.MULTIPLIER_FOUND:
-            oracle = hk.brute_force_oracle(f, g, 10.0, 0.01, f_margin=margin)
+            oracle = brute_force_oracle(f, g, 10.0, 0.01, f_margin=margin)
             assert not oracle.found, (
                 f"multiplier contradicted by grid point {oracle.point}")
         elif verdict.outcome is Outcome.COUNTEREXAMPLE_FOUND:
-            assert f(verdict.x_witness) < -DEFAULT_SEARCH.strict_margin
-            assert g(verdict.x_witness) <= DEFAULT_SEARCH.feas_tol
+            assert f(verdict.x_witness) < -STRICT_MARGIN
+            assert g(verdict.x_witness) <= FEAS_TOL
         else:
             undecided += 1
     assert undecided <= 15, f"undecided rate {undecided / 3:.1f}% > 5%"

@@ -431,6 +431,31 @@ class TestNonFiniteInput:
         assert "finite" in err
 
 
+class TestOverflow:
+    """Finite inputs whose arithmetic overflows are refused with exit 2."""
+
+    @pytest.mark.parametrize("big", [1e308, 1.5e308])
+    @pytest.mark.parametrize("args", [
+        ["witness", "--xu", "1", "--xv", "-1", "--alpha", "0.5"],
+        ["verify-convexity", "--trials", "5"],
+    ])
+    def test_cone_norm(self, tmp_path, capsys, args, big):
+        path = write_problem(tmp_path, cone={"b": [big, big], "c": [0.0, 0.0]})
+        code, _, err = run(capsys, args[:1] + [path] + args[1:])
+        assert code == 2
+        assert "field: cone" in err
+
+    @pytest.mark.parametrize("args", [
+        ["sample", "--count", "2"],
+        ["verify-convexity", "--trials", "5"],
+    ])
+    def test_box(self, tmp_path, capsys, args):
+        path = write_problem(tmp_path)
+        code, _, err = run(capsys, args[:1] + [path] + args[1:] + ["--box", "1e308"])
+        assert code == 2
+        assert "too large" in err
+
+
 def test_import_leaves_scipy_out():
     # numpy is the only dependency; scipy.optimize alone cost more than half
     # of a cold start

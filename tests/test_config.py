@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import hckit
 from hckit import errors
-from hckit.config import SearchConfig, ToleranceConfig
+from hckit.config import ToleranceConfig
 
 
 def _library_source() -> str:
@@ -15,13 +16,21 @@ def _library_source() -> str:
                      if path.name != "config.py")
 
 
-@pytest.mark.parametrize("config", [ToleranceConfig, SearchConfig])
+@pytest.mark.parametrize("config", [ToleranceConfig])
 def test_every_field_is_read(config):
     # a documented threshold that no code path reads is a dead knob
     source = _library_source()
     unread = [f.name for f in dataclasses.fields(config)
               if not re.search(rf"\.{f.name}\b", source)]
     assert unread == []
+
+
+def test_no_shadow_knobs():
+    # a per-call tol or search argument shadows the one ToleranceConfig
+    shadows = [name for name in hckit.__all__
+               if callable(obj := getattr(hckit, name))
+               and {"tol", "search"} & set(inspect.signature(obj).parameters)]
+    assert shadows == []
 
 
 def test_every_error_is_raised():

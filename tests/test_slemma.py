@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 import hckit as hk
-from hckit.config import DEFAULT_SEARCH
-from hckit.errors import DimensionTooLarge, SlaterViolated
-from hckit.slemma import Outcome, combine
+from hckit.errors import SlaterViolated
+from hckit.slemma import FEAS_TOL, SLACK, STRICT_MARGIN, Outcome, combine
 from gen import slater_instance
+from oracle import DimensionTooLarge, brute_force_oracle
 
 
 def form1(mat, lin, const):
     return hk.QuadraticForm([[mat]], [lin], const)
+
+
+def dual_value(f, g, lam):
+    """The dual ``inf_x (f + lam g)(x)``, finite or ``-inf``."""
+    h = combine(f, g, lam)
+    res = hk.min_of_quadratic(h.matrix, h.linear, h.constant)
+    return res.value if res.bounded else -math.inf
 
 
 def thin_margin_instance(rng, n: int):
@@ -43,18 +50,14 @@ class TestSlaterCheck:
 
 class TestDualValue:
     def test_zero_multiplier(self):
-        assert hk.dual_value(form1(1, 0, 0), form1(0, 1, 0), 0.0) == 0.0
+        assert dual_value(form1(1, 0, 0), form1(0, 1, 0), 0.0) == 0.0
 
     def test_completed_square(self):
         # inf (x^2 + 2x) = -1 at x = -1
-        assert hk.dual_value(form1(1, 0, 0), form1(0, 1, 0), 2.0) == pytest.approx(-1.0)
+        assert dual_value(form1(1, 0, 0), form1(0, 1, 0), 2.0) == pytest.approx(-1.0)
 
     def test_unbounded(self):
-        assert hk.dual_value(form1(-1, 0, 0), form1(1, 0, 0), 0.5) == -math.inf
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            hk.dual_value(form1(1, 0, 0), form1(0, 1, 0), -1.0)
+        assert dual_value(form1(-1, 0, 0), form1(1, 0, 0), 0.5) == -math.inf
 
     def test_concavity(self):
         rng = np.random.default_rng(61)
@@ -64,7 +67,7 @@ class TestDualValue:
             lams = np.sort(rng.uniform(0.0, 5.0, 3))
             if lams[2] - lams[0] < 1e-3:
                 continue
-            vals = [hk.dual_value(f, g, lam) for lam in lams]
+            vals = [dual_value(f, g, lam) for lam in lams]
             if not all(math.isfinite(v) for v in vals):
                 continue
             weight = (lams[1] - lams[0]) / (lams[2] - lams[0])
@@ -83,15 +86,14 @@ class TestDecide:
         verdict = hk.decide(form1(0, -2, 2), form1(1, 0, -1), [0.0])
         assert verdict.outcome is Outcome.MULTIPLIER_FOUND
         assert verdict.lam == pytest.approx(1.0, abs=1e-9)
-        assert hk.dual_value(form1(0, -2, 2), form1(1, 0, -1), verdict.lam) \
-            >= -DEFAULT_SEARCH.slack
+        assert dual_value(form1(0, -2, 2), form1(1, 0, -1), verdict.lam) >= -SLACK
 
     def test_counterexample(self):
         f, g = form1(1, 0, -1), form1(0, 1, 0.5)
         verdict = hk.decide(f, g, [-1.0])
         assert verdict.outcome is Outcome.COUNTEREXAMPLE_FOUND
-        assert f(verdict.x_witness) < -DEFAULT_SEARCH.strict_margin
-        assert g(verdict.x_witness) <= DEFAULT_SEARCH.feas_tol
+        assert f(verdict.x_witness) < -STRICT_MARGIN
+        assert g(verdict.x_witness) <= FEAS_TOL
 
     def test_slater_violated(self):
         with pytest.raises(SlaterViolated):
@@ -110,7 +112,7 @@ class TestDecide:
             f, g, xs = thin_margin_instance(rng, 1 + i % 3)
             verdict = hk.decide(f, g, xs)
             assert verdict.outcome is Outcome.MULTIPLIER_FOUND, i
-            assert hk.dual_value(f, g, verdict.lam) >= -DEFAULT_SEARCH.slack
+            assert dual_value(f, g, verdict.lam) >= -SLACK
 
     def test_multiplier_self_check(self):
         rng = np.random.default_rng(71)
@@ -120,42 +122,42 @@ class TestDecide:
             f, g, xs = slater_instance(rng, n)
             verdict = hk.decide(f, g, xs)
             if verdict.outcome is Outcome.MULTIPLIER_FOUND:
-                assert hk.dual_value(f, g, verdict.lam) >= -DEFAULT_SEARCH.slack
+                assert dual_value(f, g, verdict.lam) >= -SLACK
                 found += 1
 
 
 class TestOracle:
     def test_nonnegative_objective(self):
-        verdict = hk.brute_force_oracle(form1(1, 0, 0), form1(0, 1, 0), 10.0, 0.01)
+        verdict = brute_force_oracle(form1(1, 0, 0), form1(0, 1, 0), 10.0, 0.01)
         assert not verdict.found
 
     def test_feasible_found(self):
-        verdict = hk.brute_force_oracle(form1(1, 0, -1), form1(0, 1, 0), 10.0, 0.01)
+        verdict = brute_force_oracle(form1(1, 0, -1), form1(0, 1, 0), 10.0, 0.01)
         assert verdict.found
         x = verdict.point
         assert form1(1, 0, -1)(x) < 0 and form1(0, 1, 0)(x) <= 0
 
     def test_disjoint_regions(self):
         # f < 0 needs x > 1, but then g = x^2 - 1 > 0
-        verdict = hk.brute_force_oracle(form1(0, -2, 2), form1(1, 0, -1), 10.0, 0.01)
+        verdict = brute_force_oracle(form1(0, -2, 2), form1(1, 0, -1), 10.0, 0.01)
         assert not verdict.found
 
     def test_point_is_on_grid(self):
-        verdict = hk.brute_force_oracle(form1(1, 0, -1), form1(0, 1, 0), 10.0, 0.01)
+        verdict = brute_force_oracle(form1(1, 0, -1), form1(0, 1, 0), 10.0, 0.01)
         offset = (verdict.point[0] + 10.0) / 0.01
         assert abs(offset - round(offset)) <= 1e-6
 
     def test_dimension_cap(self):
         f = hk.QuadraticForm(np.eye(4), np.zeros(4), 0.0)
         with pytest.raises(DimensionTooLarge):
-            hk.brute_force_oracle(f, f, 1.0, 0.1)
+            brute_force_oracle(f, f, 1.0, 0.1)
 
     def test_margin_excludes_shallow_points(self):
         # f dips to exactly -1e-3: a margin above that hides the dip
         f = form1(1, 0, -1e-3)
         g = form1(0, 1, 0)
-        assert hk.brute_force_oracle(f, g, 10.0, 0.01).found
-        assert not hk.brute_force_oracle(f, g, 10.0, 0.01, f_margin=2e-3).found
+        assert brute_force_oracle(f, g, 10.0, 0.01).found
+        assert not brute_force_oracle(f, g, 10.0, 0.01, f_margin=2e-3).found
 
     def test_matches_dense_scan_2d(self):
         rng = np.random.default_rng(83)
@@ -167,7 +169,7 @@ class TestOracle:
             fv = np.einsum("ij,jk,ik->i", pts, f.matrix, pts) + pts @ f.linear + f.constant
             gv = np.einsum("ij,jk,ik->i", pts, g.matrix, pts) + pts @ g.linear + g.constant
             dense_found = bool(np.any((fv < 0) & (gv <= 0)))
-            verdict = hk.brute_force_oracle(f, g, 2.0, 0.05)
+            verdict = brute_force_oracle(f, g, 2.0, 0.05)
             assert verdict.found == dense_found
 
 
@@ -180,12 +182,11 @@ class TestMutualExclusion:
             f, g, xs = slater_instance(rng, n)
             verdict = hk.decide(f, g, xs)
             if verdict.outcome is Outcome.MULTIPLIER_FOUND:
-                oracle = hk.brute_force_oracle(f, g, 10.0, 0.01,
-                                               f_margin=2 * DEFAULT_SEARCH.slack)
+                oracle = brute_force_oracle(f, g, 10.0, 0.01, f_margin=2 * SLACK)
                 assert not oracle.found
             elif verdict.outcome is Outcome.COUNTEREXAMPLE_FOUND:
-                assert f(verdict.x_witness) < -DEFAULT_SEARCH.strict_margin
-                assert g(verdict.x_witness) <= DEFAULT_SEARCH.feas_tol
+                assert f(verdict.x_witness) < -STRICT_MARGIN
+                assert g(verdict.x_witness) <= FEAS_TOL
             else:
                 undecided += 1
         assert undecided <= 8

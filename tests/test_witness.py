@@ -6,6 +6,9 @@ from hckit.errors import NumericalBreakdown, PreconditionViolated
 from hckit.witness import Branch, WitnessCertificate, WitnessTrace
 from gen import witness_instance
 
+VERIFY_CFG = hk.DEFAULT_TOLERANCES.with_overrides(cert_tol=1e-6)
+LOOSE = hk.DEFAULT_TOLERANCES.with_overrides(cone_tol=1e-7)
+
 
 def parabola_map() -> hk.QuadraticMap:
     return hk.QuadraticMap(hk.QuadraticForm([[1.0]], [0.0], 0.0),
@@ -174,7 +177,7 @@ class TestSoundness:
             fmap, cone, pu, pv, alpha = witness_instance(rng, n)
             w = alpha * pu.value + (1 - alpha) * pv.value
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
-            assert hk.verify_certificate(fmap, cone, w, cert, 1e-6)
+            assert hk.verify_certificate(fmap, cone, w, cert, VERIFY_CFG)
 
     def test_idempotent_membership(self):
         rng = np.random.default_rng(55)
@@ -198,7 +201,7 @@ class TestSoundness:
             w = alpha * pu.value + (1 - alpha) * pv.value
             u_bar = hk.eval_map(fmap, pu.x)
             v_bar = hk.eval_map(fmap, pv.x)
-            if hk.contains(cone, w - u_bar, 1e-7) or hk.contains(cone, w - v_bar, 1e-7):
+            if hk.contains(cone, w - u_bar, LOOSE) or hk.contains(cone, w - v_bar, LOOSE):
                 continue
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
             tr = cert.trace
