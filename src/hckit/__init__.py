@@ -13,9 +13,8 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .cone2d import Cone2, ConeCoords, contains, coords, make_cone, positive_quadrant
 from .conic2d import Conic2
 from .quadmap import (AffineManifold, LineImage, LineImageKind, QuadraticForm,
-                      QuadraticMap, classify_line_image, eval_map, line_coeffs,
-                      manifold_from_linear_system, preimage_on_line,
-                      restrict_to_manifold)
+                      QuadraticMap, classify_line_image, eval_map,
+                      manifold_from_linear_system, restrict_to_manifold)
 from .slemma import Outcome, SLemmaVerdict, decide, dual_lower_bound, slater_check
 from .smallmat import EigenDecomp, MinResult, eigh, min_of_quadratic, symmetrize
 from .witness import (Branch, ConePoint, ConvexityReport, WitnessCertificate,
@@ -30,9 +29,9 @@ __all__ = [
     "LineImage", "LineImageKind", "MinResult", "Outcome", "QuadraticForm",
     "QuadraticMap", "SLemmaVerdict", "ToleranceConfig", "WitnessCertificate",
     "classify_line_image", "cone_point", "contains", "convexity_probe",
-    "coords", "decide", "dual_lower_bound", "eigh", "eval_map", "line_coeffs",
-    "make_cone", "manifold_from_linear_system", "min_of_quadratic",
-    "positive_quadrant", "preimage_on_line", "restrict_to_manifold",
+    "coords", "decide", "dual_lower_bound", "eigh", "eval_map", "make_cone",
+    "manifold_from_linear_system", "min_of_quadratic", "positive_quadrant",
+    "restrict_to_manifold",
     "slater_check", "symmetrize", "verify_certificate",
     "witness_convex_combination",
 ]

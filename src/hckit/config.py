@@ -6,10 +6,10 @@ here, and the decision procedure's fixed bracket and margins are module
 constants of :mod:`hckit.slemma`.  Every threshold below is relative to a
 locally computed scale unless noted otherwise, and every field is read by
 some code path: the eigendecomposition and SVD come from LAPACK and take no
-knobs of their own, and the parabola facts the witness uses run on the image
-polynomials, which take no conic classification threshold.  Problem files
-may still name a retired field (see ``hckit.problemio.RETIRED_TOLERANCES``);
-it is ignored.
+knobs of their own, the witness runs on the image polynomials, which take no
+conic classification threshold, and takes its point on a flat image from the
+intermediate value theorem, which takes no on-curve tolerance.  Problem files
+may still name a retired field (see ``hckit.problemio.RETIRED_TOLERANCES``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ class ToleranceConfig:
     indep_tol: float = 1e-10           # |det| > indep_tol * |b| * |c|
     cone_tol: float = 1e-9             # default membership slack on coordinates
 
-    # points on a line image, and its crossings
-    on_tol: float = 1e-7               # "point lies on the curve", relative
+    # crossings of a parabola image
     root_tol: float = 1e-9             # crossing slack along a leg, times the data scale
 
     # line images of quadratic maps

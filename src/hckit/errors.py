@@ -12,7 +12,7 @@ class HckError(Exception):
 
 
 class InternalNumerics(HckError):
-    """A LAPACK routine failed, or was handed a non-finite matrix."""
+    """LAPACK failed or got a non-finite matrix, or a conic has no finite form."""
 
 
 class DegenerateCone(HckError):
@@ -29,10 +29,6 @@ class DimensionMismatch(HckError):
 
 class DegenerateLine(HckError):
     """The two points defining a line coincide."""
-
-
-class NotOnImage(HckError):
-    """Target point does not lie on the classified image set."""
 
 
 class InconsistentSystem(HckError):

@@ -102,7 +102,7 @@ def _parse_matrix_rows(raw, n_cols: int, field: str) -> np.ndarray:
 
 # tolerances that no code path reads any more; files naming them still parse
 RETIRED_TOLERANCES = frozenset({"rescue_factor", "jacobi_off_tol",
-                                "jacobi_max_sweeps", "class_tol"})
+                                "jacobi_max_sweeps", "class_tol", "on_tol"})
 
 
 def _parse_tolerances(raw, field: str) -> ToleranceConfig:

@@ -2,14 +2,13 @@
 
 The central operation classifies the image of a straight line under
 ``F = (f, g)``: it is a point, a ray, a straight line, or a parabola.  The
-classified image keeps the line's validated endpoints and the two image
-polynomials ``P(t) = F(x(t))``, and all later work runs on those
-polynomials: a preimage is one scalar solve for the line parameter and one
-residual test per image coordinate, and the side of a point against a
-parabola image is one polynomial evaluation.  The implicit conic equation
-of a parabola is expanded on demand, for reporting only.  Restriction to
-affine manifolds ``x0 + range(K)`` yields another quadratic map, so every
-operation transfers.
+classified image keeps the two image polynomials ``P(t) = F(x(t))``, and
+all later work runs on them: the parameter of a point on a parabola image
+is one affine map, and the side of a point against it is one polynomial
+evaluation.  The implicit conic equation of a parabola is expanded on
+demand, for reporting only.  Restriction to affine manifolds
+``x0 + range(K)`` yields another quadratic map, so every operation
+transfers.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
-                     NotOnImage)
-from .smallmat import _lapack, quadratic_roots
+                     InternalNumerics)
+from .smallmat import _lapack
 
 
 @dataclass(frozen=True)
@@ -134,28 +133,6 @@ class LineCoeffs:
                 (self.alpha_p * t + self.beta_p) * t + self.gamma_p)
 
 
-def _line(fmap: QuadraticMap, xbar, ybar, cfg: ToleranceConfig):
-    """Validated copies of the endpoints, and the coefficients along their line."""
-    xb = np.array(xbar, dtype=float).reshape(-1)
-    yb = np.array(ybar, dtype=float).reshape(-1)
-    if xb.shape != yb.shape:
-        raise DimensionMismatch("line endpoints have different lengths")
-    ref = 1.0 + max(float(np.max(np.abs(xb), initial=0.0)),
-                    float(np.max(np.abs(yb), initial=0.0)))
-    if xb.size == 0 or float(np.max(np.abs(yb - xb))) <= cfg.line_tol * ref:
-        raise DegenerateLine("line endpoints coincide")
-    if xb.shape[0] != fmap.n:
-        raise DimensionMismatch(f"points have length {xb.shape[0]}, map expects {fmap.n}")
-    d = yb - xb
-    return xb, yb, LineCoeffs(*fmap.f.along(xb, d), *fmap.g.along(xb, d))
-
-
-def line_coeffs(fmap: QuadraticMap, xbar, ybar,
-                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LineCoeffs:
-    """Exact polynomial coefficients of ``F`` restricted to a line."""
-    return _line(fmap, xbar, ybar, cfg)[2]
-
-
 class LineImageKind(enum.Enum):
     POINT = "Point"
     RAY = "Ray"
@@ -167,9 +144,7 @@ class LineImageKind(enum.Enum):
 class LineImage:
     """Classified image of a line with enough payload to invert it.
 
-    ``xbar`` and ``ybar`` are the validated endpoints of the line
-    ``x(t) = xbar + t*(ybar - xbar)`` that ``coeffs`` describes.  Payload by
-    kind:
+    ``coeffs`` holds the two image polynomials of the line.  Payload by kind:
 
     * POINT: ``point``.
     * RAY: ``apex``, unit-free ``ray_direction`` (points away from the apex),
@@ -185,8 +160,6 @@ class LineImage:
 
     kind: LineImageKind
     coeffs: LineCoeffs
-    xbar: np.ndarray
-    ybar: np.ndarray
     point: np.ndarray | None = None
     apex: np.ndarray | None = None
     ray_direction: np.ndarray | None = None
@@ -213,9 +186,15 @@ class LineImage:
         sigma = math.copysign(1.0, qa)
         row, slope, offset = self.t_row, self.t_slope, self.t_offset
         s2 = slope * slope
-        return Conic2(sigma * (qa / s2) * np.outer(row, row),
-                      sigma * ((qb / slope - 2.0 * qa * offset / s2) * row - first),
-                      sigma * (qa * offset * offset / s2 - qb * offset / slope + qc))
+        if s2 == 0.0:
+            raise InternalNumerics("parabola conic: the squared slope underflows")
+        quad = qa / s2
+        lin = qb / slope - 2.0 * qa * offset / s2
+        const = qa * offset * offset / s2 - qb * offset / slope + qc
+        if not all(map(math.isfinite, (quad, lin, const))):
+            raise InternalNumerics("parabola conic has a non-finite coefficient")
+        return Conic2(sigma * quad * np.outer(row, row), sigma * (lin * row - first),
+                      sigma * const)
 
     def parameter_of(self, target) -> float:
         """Line parameter of an image point (parabola payload only)."""
@@ -250,25 +229,43 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     comes from shearing the dominant quadratic coordinate against the other
     one; its implicit equation is left to :attr:`LineImage.conic`.
     """
-    xb, yb, co = _line(fmap, xbar, ybar, cfg)
+    xb = np.asarray(xbar, dtype=float).reshape(-1)
+    yb = np.asarray(ybar, dtype=float).reshape(-1)
+    if xb.shape != yb.shape:
+        raise DimensionMismatch("line endpoints have different lengths")
+    ref = 1.0 + max(float(np.max(np.abs(xb), initial=0.0)),
+                    float(np.max(np.abs(yb), initial=0.0)))
+    if xb.size == 0 or float(np.max(np.abs(yb - xb))) <= cfg.line_tol * ref:
+        raise DegenerateLine("line endpoints coincide")
+    if xb.shape[0] != fmap.n:
+        raise DimensionMismatch(f"points have length {xb.shape[0]}, map expects {fmap.n}")
+    d = yb - xb
+    co = LineCoeffs(*fmap.f.along(xb, d), *fmap.g.along(xb, d))
     al, be, ga = co.row(0)
     alp, bep, gap = co.row(1)
     row_f = max(abs(al), abs(be))
     row_g = max(abs(alp), abs(bep))
-    det2 = al * bep - alp * be
 
     if max(row_f, row_g) <= cfg.det_tol * co.scale():
-        return LineImage(LineImageKind.POINT, co, xb, yb, point=np.array([ga, gap]))
+        return LineImage(LineImageKind.POINT, co, point=np.array([ga, gap]))
 
-    if abs(det2) <= cfg.det_tol * row_f * row_g:
+    # each row's (quadratic, linear) pair scaled by a power of two, which is
+    # exact and keeps the 2x2 products below overflow
+    ef, eg = math.frexp(row_f)[1], math.frexp(row_g)[1]
+    fq, fl = math.ldexp(al, -ef), math.ldexp(be, -ef)
+    gq, gl = math.ldexp(alp, -eg), math.ldexp(bep, -eg)
+    if abs(fq * gl - gq * fl) <= (cfg.det_tol * math.ldexp(row_f, -ef)
+                                  * math.ldexp(row_g, -eg)):
         # proportional rows: pivot on the larger pair for stability
         pivot = 0 if row_f >= row_g else 1
         a1, b1, c1 = co.row(pivot)
-        a2, b2, c2 = co.row(1 - pivot)
-        k = (a1 * a2 + b1 * b2) / (a1 * a1 + b1 * b1)
+        c2 = co.row(1 - pivot)[2]
+        dot = fq * gq + fl * gl      # k = other row / pivot row, scaling undone
+        k = (math.ldexp(dot / (fq * fq + fl * fl), eg - ef) if pivot == 0
+             else math.ldexp(dot / (gq * gq + gl * gl), ef - eg))
         if abs(a1) <= cfg.det_tol * max(abs(a1), abs(b1)):
             return LineImage(
-                LineImageKind.LINE, co, xb, yb,
+                LineImageKind.LINE, co,
                 line_point=np.array([ga, gap]),
                 line_direction=np.array([be, bep]),
                 pivot=pivot,
@@ -282,7 +279,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
             apex_piv = apex_piv[::-1]
             dir_piv = dir_piv[::-1]
         return LineImage(
-            LineImageKind.RAY, co, xb, yb,
+            LineImageKind.RAY, co,
             apex=apex_piv, ray_direction=dir_piv,
             pivot=pivot,
         )
@@ -292,71 +289,14 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     qa, qb, qc = co.row(int(swap))
     la, lb, lc = co.row(int(not swap))
     k = la / qa
-    slope = lb - k * qb          # nonzero exactly because det2 != 0
+    slope = lb - k * qb          # nonzero because the rows are not proportional
     offset = lc - k * qc
     # parameter map t = (row . u - offset) / slope in original coordinates
     row = np.array([1.0, -k]) if swap else np.array([-k, 1.0])
     return LineImage(
-        LineImageKind.PARABOLA, co, xb, yb,
+        LineImageKind.PARABOLA, co,
         t_row=row, t_slope=float(slope), t_offset=float(offset), swap=swap,
     )
-
-
-def _polish_parameter(co: LineCoeffs, t: float, target: np.ndarray,
-                      steps: int = 2) -> float:
-    """Gauss-Newton refinement of the line parameter against a 2-d target."""
-    for _ in range(steps):
-        p0, p1 = co.at(t)
-        j0 = 2.0 * co.alpha * t + co.beta
-        j1 = 2.0 * co.alpha_p * t + co.beta_p
-        denom = j0 * j0 + j1 * j1
-        if denom == 0.0:
-            break
-        t -= (j0 * (p0 - target[0]) + j1 * (p1 - target[1])) / denom
-    return t
-
-
-def preimage_on_line(img: LineImage, target,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Point on the image's line that ``F`` maps (near) the target.
-
-    Guesses for the line parameter come from the image polynomials:
-    the affine inverse map of a parabola (unique), the roots of the pivot
-    polynomial set to the target's coordinate for a ray or a line (smaller
-    magnitude first, then a ray's vertex, so that its apex keeps a parameter
-    when rounding leaves no real root), and ``t = 0`` for a point.  Each
-    guess is polished by Gauss-Newton unless that raises its miss, and the
-    first whose image meets every coordinate to ``on_tol`` relative to that
-    polynomial's own size, ``|P_k(t) - u_k| <= on_tol * (1 + max|coeffs_k|
-    + |u_k|)``, is returned; if none does, :class:`NotOnImage` is raised.
-    """
-    u = np.asarray(target, dtype=float).reshape(2)
-    co = img.coeffs
-    if img.kind is LineImageKind.PARABOLA:
-        guesses = [img.parameter_of(u)]
-    elif img.kind is LineImageKind.POINT:
-        guesses = [0.0]
-    else:
-        a, b, c = co.row(img.pivot)
-        guesses = sorted(quadratic_roots(a, b, c - u[img.pivot]), key=abs)
-        if img.kind is LineImageKind.RAY:
-            guesses.append(-b / (2.0 * a))
-    bounds = [cfg.on_tol * (1.0 + max(map(abs, co.row(k))) + abs(u[k]))
-              for k in (0, 1)]
-
-    def miss(t: float) -> float:   # worst coordinate miss, in its bounds
-        return max(abs(p - u[k]) / bounds[k] for k, p in enumerate(co.at(t)))
-
-    nearest = math.inf
-    for guess in guesses:
-        # at a vertex or on a point image the derivative is rounding noise,
-        # and a Gauss-Newton step there can throw a good guess away
-        t = min(guess, _polish_parameter(co, guess, u), key=miss)
-        nearest = min(nearest, miss(t))
-        if nearest <= 1.0:
-            return img.xbar + t * (img.ybar - img.xbar)
-    raise NotOnImage(f"target is off the {img.kind.value.lower()} image "
-                     f"({nearest:.3e} times the on-curve tolerance)")
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,16 @@ def quadratic_roots(a: float, b: float, c: float) -> list[float]:
     polynomial linear; if the linear coefficient is that small too (or the
     polynomial is zero) there is no root.  Otherwise the cancellation-free
     form ``q = -(b + sign(b) sqrt(disc))/2`` gives the roots ``q/a`` and
-    ``c/q``; a double root is listed once.
+    ``c/q``; a double root is listed once.  The coefficients are scaled by a
+    power of two first (exact, roots unchanged), so nothing overflows.
     """
     mag = max(abs(a), abs(b), abs(c))
     if abs(a) <= 1e-14 * mag:
         if abs(b) <= 1e-14 * mag:
             return []
         return [-c / b]
+    exp = math.frexp(mag)[1]
+    a, b, c = math.ldexp(a, -exp), math.ldexp(b, -exp), math.ldexp(c, -exp)
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []

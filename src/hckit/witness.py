@@ -8,11 +8,13 @@ construction works on the image of the line ``x(t) = x_u + t (x_v - x_u)``,
 the pair of quadratic polynomials ``P(t) = F(x(t))``:
 
 * if ``w`` coincides with ``F(x_u)`` or ``F(x_v)``, that endpoint certifies
-  it directly;
+  it directly, ``e*`` from the clamped cone coordinates of the difference;
 * otherwise the gap ``w - \bar w`` to ``\bar w = alpha F(x_u) + beta F(x_v)``
   is ``lam b + gam c`` with ``(lam, gam) = alpha coords(e1) + beta coords(e2)``;
-* a ray or line image contains ``\bar w`` (both are convex), and a point
-  image is ``\bar w`` itself, so ``e* = lam b + gam c``;
+* a point image is ``\bar w`` itself, and on a ray or line image the pivot
+  polynomial ``s`` takes the value ``alpha s(0) + beta s(1)`` of ``\bar w`` at
+  some ``t`` in [0, 1] (intermediate value theorem), so
+  ``x* = x_u + t (x_v - x_u)``; both give ``e* = lam b + gam c``;
 * on a parabola image with ``w`` strictly inside (``psi(w) < 0``), the
   nearest crossing of the backward rays ``w - tau b`` and ``w - tau c``
   gives ``e* = tau b`` or ``tau c``;
@@ -37,8 +39,7 @@ import numpy as np
 
 from . import cone2d, quadmap
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import (DegenerateLine, NotOnImage, NumericalBreakdown,
-                     PreconditionViolated)
+from .errors import DegenerateLine, NumericalBreakdown, PreconditionViolated
 from .quadmap import LineImageKind, QuadraticMap, eval_map
 from .smallmat import quadratic_roots
 
@@ -179,11 +180,15 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
                 f"{branch.value} certificate fails verification", trace)
         return WitnessCertificate(x_star, e_star, branch, trace)
 
+    def clamped(gap) -> np.ndarray:     # lam b + gam c, coordinates clamped at 0
+        co = cone2d.coords(cone, gap, cfg)
+        return max(co.lam, 0.0) * cone.b + max(co.bet, 0.0) * cone.c
+
     # endpoint coincidence: w equals one of the mapped points
     if float(np.max(np.abs(w - u_bar))) <= cfg.eq_tol * scale:
-        return finish(point_u.x, w - u_bar, Branch.CASE1_U)
+        return finish(point_u.x, clamped(w - u_bar), Branch.CASE1_U)
     if float(np.max(np.abs(w - v_bar))) <= cfg.eq_tol * scale:
-        return finish(point_v.x, w - v_bar, Branch.CASE1_V)
+        return finish(point_v.x, clamped(w - v_bar), Branch.CASE1_V)
 
     # w - w_bar = alpha*e1 + beta*e2 = lam*b + gam*c
     c1 = cone2d.coords(cone, point_u.e, cfg)
@@ -202,13 +207,16 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     if img.kind is LineImageKind.POINT:
         return finish(point_u.x, gap, Branch.CASE1_U)
     if img.kind is not LineImageKind.PARABOLA:
-        w_bar = alpha * u_bar + beta * v_bar
-        try:
-            x_star = quadmap.preimage_on_line(img, w_bar, cfg)
-        except NotOnImage as exc:
-            raise NumericalBreakdown(
-                f"mixed value not on the flat image: {exc}", trace) from exc
-        return finish(x_star, gap, Branch.RAY_OR_LINE)
+        # s(t) - alpha s(0) - beta s(1) = a t^2 + b t - beta (a + b) has a root
+        # in [0, 1]; the root nearest 1/2 is the one nearest [0, 1], clamped
+        # onto it against rounding
+        a, b, _ = img.coeffs.row(img.pivot)
+        roots = quadratic_roots(a, b, -beta * (a + b))
+        if not roots:
+            raise NumericalBreakdown("no root for the flat image's pivot polynomial", trace)
+        t_star = min(max(min(roots, key=lambda t: abs(t - 0.5)), 0.0), 1.0)
+        return finish(point_u.x + t_star * (point_v.x - point_u.x), gap,
+                      Branch.RAY_OR_LINE)
 
     co = img.coeffs
     trace.psi_w = img.side(w)

@@ -141,6 +141,27 @@ def witness_instance(rng, n: int, box: float = 5.0):
     return fmap, cone, pu, pv, alpha
 
 
+def scaled_form(q: hk.QuadraticForm, factor: float) -> hk.QuadraticForm:
+    """The form times ``factor``."""
+    return hk.QuadraticForm(factor * q.matrix, factor * q.linear, factor * q.constant)
+
+
+def _stress_points(rng, fmap: hk.QuadraticMap, angle_deg: float, k_lo: int, k_hi: int):
+    """Box, cone, cone points and weight of a stress instance on ``fmap``.
+
+    The box radius is log-uniform on ``[1, 1e3]``, the cone's generators are
+    ``angle_deg`` apart, and the cone elements are drawn at a log-uniform
+    size between ``10^k_lo`` and ``10^k_hi`` times the squared box radius.
+    """
+    box = 10.0 ** rng.uniform(0.0, 3.0)
+    cone = random_cone(rng, angle_deg=angle_deg)
+    radius = 10.0 ** rng.uniform(k_lo, k_hi) * box * box
+    pu = random_cone_point(rng, fmap, cone, box, radius)
+    pv = random_cone_point(rng, fmap, cone, box, radius)
+    alpha = rng.uniform(0.05, 0.95)
+    return fmap, cone, pu, pv, alpha
+
+
 def scale_stress_instance(rng, n: int, angle_deg: float):
     """A witness problem at an adversarial scale: (map, cone, point_u, point_v, alpha).
 
@@ -151,20 +172,23 @@ def scale_stress_instance(rng, n: int, angle_deg: float):
     the two components, so the gap ``w - w_bar`` is large against one of
     them and small against the other.
     """
-    def scaled(q: hk.QuadraticForm, k: int) -> hk.QuadraticForm:
-        return hk.QuadraticForm(10.0 ** k * q.matrix, 10.0 ** k * q.linear,
-                                10.0 ** k * q.constant)
-
     kf, kg = (int(k) for k in rng.integers(-6, 7, size=2))
     base = rank_deficient_map(rng, n) if rng.uniform() < 0.1 else random_map(rng, n)
-    fmap = hk.QuadraticMap(scaled(base.f, kf), scaled(base.g, kg))
-    box = 10.0 ** rng.uniform(0.0, 3.0)
-    cone = random_cone(rng, angle_deg=angle_deg)
-    radius = 10.0 ** rng.uniform(min(kf, kg), max(kf, kg)) * box * box
-    pu = random_cone_point(rng, fmap, cone, box, radius)
-    pv = random_cone_point(rng, fmap, cone, box, radius)
-    alpha = rng.uniform(0.05, 0.95)
-    return fmap, cone, pu, pv, alpha
+    fmap = hk.QuadraticMap(scaled_form(base.f, 10.0 ** kf), scaled_form(base.g, 10.0 ** kg))
+    return _stress_points(rng, fmap, angle_deg, min(kf, kg), max(kf, kg))
+
+
+def flat_stress_instance(rng, n: int, angle_deg: float):
+    """A witness problem with flat line images: (map, cone, point_u, point_v, alpha).
+
+    The map comes from :func:`rank_deficient_map` with ``f`` scaled by
+    ``10^k``, ``k`` in ``-6..6``; the rest is drawn as in
+    :func:`scale_stress_instance`.
+    """
+    base = rank_deficient_map(rng, n)
+    k = int(rng.integers(-6, 7))
+    fmap = hk.QuadraticMap(scaled_form(base.f, 10.0 ** k), base.g)
+    return _stress_points(rng, fmap, angle_deg, min(k, 0), max(k, 0))
 
 
 def slater_instance(rng, n: int):

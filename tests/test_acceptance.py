@@ -19,6 +19,7 @@ from gen import (interior_point, parabola_map, random_cone, random_form,
                  random_map, rank_deficient_map, scale_stress_instance,
                  slater_instance, witness_instance)
 from oracle import brute_force_oracle
+from preimage import preimage_on_line
 
 # criterion 1 verifies at 1e-6, whatever the default cert_tol
 VERIFY_CFG = hk.DEFAULT_TOLERANCES.with_overrides(cert_tol=1e-6)
@@ -145,7 +146,7 @@ def test_criterion_5_line_image_soundness():
                 assert (pt - img.apex) @ dn >= -1e-7 * (1.0 + np.max(np.abs(pt)))
         t0 = rng.uniform(-2, 2)
         target = hk.eval_map(fmap, xb + t0 * d)
-        x = hk.preimage_on_line(img, target)
+        x = preimage_on_line(img, xb, yb, target)
         scale = img.coeffs.scale()
         assert np.max(np.abs(hk.eval_map(fmap, x) - target)) <= 1e-6 * scale
         done += 1

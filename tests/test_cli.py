@@ -325,7 +325,7 @@ class TestProblemFiles:
     def test_retired_tolerance_ignored(self, tmp_path, capsys):
         # retired tolerances are no longer read; files naming them still load
         retired = {"rescue_factor": 100.0, "jacobi_off_tol": 1e-12,
-                   "jacobi_max_sweeps": 100, "class_tol": 1e-9}
+                   "jacobi_max_sweeps": 100, "class_tol": 1e-9, "on_tol": 1e-7}
         problem = parse_problem(json.dumps({
             "schema_version": "1", "dimension": 1,
             "P": [1.0], "p": [0.0], "p0": 0.0,
@@ -340,7 +340,7 @@ class TestProblemFiles:
         assert code == 0
         listed = json.loads(out)["tolerances"]
         assert not set(retired) & set(listed)
-        assert len(listed) == 11
+        assert len(listed) == 10
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -432,7 +432,7 @@ class TestNonFiniteInput:
 
 
 class TestOverflow:
-    """Finite inputs whose arithmetic overflows are refused with exit 2."""
+    """Finite inputs whose arithmetic overflows certify, or are refused with exit 2."""
 
     @pytest.mark.parametrize("big", [1e308, 1.5e308])
     @pytest.mark.parametrize("args", [
@@ -454,6 +454,39 @@ class TestOverflow:
         code, _, err = run(capsys, args[:1] + [path] + args[1:] + ["--box", "1e308"])
         assert code == 2
         assert "too large" in err
+
+    def test_flat_image_at_large_scale(self, tmp_path, capsys):
+        # F = (1e154 x^2, 2e154 x^2 + 1): the 2x2 products of the flat test
+        # overflow unless each row is scaled first, and the ray became a
+        # "parabola" with a zero parameter slope
+        path = write_problem(tmp_path, P=[1e154], p=[0.0], p0=0.0,
+                             Q=[2e154], q=[0.0], q0=1.0)
+        code, out, _ = run(capsys, ["witness", path, "--xu", "1", "--xv", "2",
+                                    "--alpha", "0.3"])
+        assert code == 0
+        outcome = json.loads(out, parse_constant=_refuse_constant)["outcome"]
+        assert outcome["branch"] == "RayOrLine" and outcome["verified"] is True
+        assert 1.0 <= outcome["x_star"][0] <= 2.0
+        code, out, _ = run(capsys, ["classify-line", path, "--xbar", "1", "--ybar", "2"])
+        assert code == 0
+        assert json.loads(out, parse_constant=_refuse_constant)["outcome"]["kind"] == "Ray"
+
+    def test_parabola_slope_underflow(self, tmp_path, capsys):
+        # the parameter map's slope is about 1e-300, so its square underflows
+        # and the implicit conic has no finite coefficients
+        path = write_problem(tmp_path, P=[1e154], p=[1.234834287196691],
+                             p0=-1.0836343694379411, Q=[1e-300], q=[1e-300],
+                             q0=-0.30030738057608364)
+        code, out, err = run(capsys, ["classify-line", path,
+                                      "--xbar", "0.3475343714620007",
+                                      "--ybar", "-0.9547998730939704"])
+        assert code == 2
+        assert out == ""
+        assert "InternalNumerics" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"envelope holds the non-finite number {name}")
 
 
 def test_import_leaves_scipy_out():

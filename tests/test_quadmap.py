@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import hckit as hk
-from hckit.errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
-                          NotOnImage)
+from hckit.errors import DegenerateLine, DimensionMismatch, InconsistentSystem
 from hckit.quadmap import LineImageKind
 from gen import random_form, random_map, rank_deficient_map
+from preimage import NotOnImage, preimage_on_line
 
 
 def paraboloid_line_map() -> hk.QuadraticMap:
@@ -45,22 +45,23 @@ class TestEvalMap:
 
 class TestLineCoeffs:
     def test_parabola_map(self):
-        co = hk.line_coeffs(paraboloid_line_map(), [0.0], [1.0])
+        co = hk.classify_line_image(paraboloid_line_map(), [0.0], [1.0]).coeffs
         assert co.as_array() == pytest.approx([1, 0, 0, 0, 1, 0])
 
     def test_proportional_map(self):
-        co = hk.line_coeffs(double_square_map(), [0.0], [1.0])
+        co = hk.classify_line_image(double_square_map(), [0.0], [1.0]).coeffs
         assert co.as_array() == pytest.approx([1, 0, 0, 2, 0, 0])
 
     def test_constant_map(self):
         zero = hk.QuadraticForm(np.zeros((2, 2)), [0.0, 0.0], 3.0)
         zero2 = hk.QuadraticForm(np.zeros((2, 2)), [0.0, 0.0], -1.0)
-        co = hk.line_coeffs(hk.QuadraticMap(zero, zero2), [0.0, 0.0], [1.0, 0.0])
+        co = hk.classify_line_image(hk.QuadraticMap(zero, zero2), [0.0, 0.0],
+                                    [1.0, 0.0]).coeffs
         assert co.as_array() == pytest.approx([0, 0, 3, 0, 0, -1])
 
     def test_degenerate_line(self):
         with pytest.raises(DegenerateLine):
-            hk.line_coeffs(paraboloid_line_map(), [1.0], [1.0])
+            hk.classify_line_image(paraboloid_line_map(), [1.0], [1.0])
 
     def test_polynomial_identity(self):
         rng = np.random.default_rng(13)
@@ -71,7 +72,7 @@ class TestLineCoeffs:
             yb = rng.uniform(-3, 3, n)
             if np.max(np.abs(yb - xb)) < 1e-6:
                 continue
-            co = hk.line_coeffs(fmap, xb, yb)
+            co = hk.classify_line_image(fmap, xb, yb).coeffs
             scale = co.scale()
             d = yb - xb
             for t in rng.uniform(-3, 3, 50):
@@ -183,22 +184,13 @@ class TestPreimage:
     def test_parabola_unique(self):
         fmap = paraboloid_line_map()
         img = hk.classify_line_image(fmap, [0.0], [1.0])
-        x = hk.preimage_on_line(img, (4.0, -2.0))
+        x = preimage_on_line(img, [0.0], [1.0], (4.0, -2.0))
         np.testing.assert_allclose(x, [-2.0], atol=1e-12)
-
-    def test_classified_line_kept(self):
-        # the image holds its own copy of the endpoints, so editing the
-        # caller's arrays afterwards cannot move a preimage off its line
-        xb, yb = np.array([0.0]), np.array([1.0])
-        img = hk.classify_line_image(paraboloid_line_map(), xb, yb)
-        xb[0], yb[0] = 5.0, 7.0
-        np.testing.assert_allclose(hk.preimage_on_line(img, (4.0, -2.0)), [-2.0],
-                                   atol=1e-12)
 
     def test_ray_either_root(self):
         fmap = double_square_map()
         img = hk.classify_line_image(fmap, [0.0], [1.0])
-        x = hk.preimage_on_line(img, (9.0, 18.0))
+        x = preimage_on_line(img, [0.0], [1.0], (9.0, 18.0))
         assert abs(x[0]) == pytest.approx(3.0, abs=1e-9)
         np.testing.assert_allclose(hk.eval_map(fmap, x), [9.0, 18.0], atol=1e-9)
 
@@ -207,7 +199,7 @@ class TestPreimage:
         zero2 = hk.QuadraticForm(np.zeros((1, 1)), [0.0], -1.0)
         fmap = hk.QuadraticMap(zero, zero2)
         img = hk.classify_line_image(fmap, [0.5], [1.0])
-        np.testing.assert_allclose(hk.preimage_on_line(img, (2.0, -1.0)),
+        np.testing.assert_allclose(preimage_on_line(img, [0.5], [1.0], (2.0, -1.0)),
                                    [0.5])
 
     def test_near_constant_point_image(self):
@@ -218,20 +210,20 @@ class TestPreimage:
         g = hk.QuadraticForm([[0.0]], [0.0], -1.0)
         img = hk.classify_line_image(hk.QuadraticMap(f, g), [0.0], [1.0])
         assert img.kind is LineImageKind.POINT
-        x = hk.preimage_on_line(img, (1.0 + 1e-8, -1.0))
+        x = preimage_on_line(img, [0.0], [1.0], (1.0 + 1e-8, -1.0))
         np.testing.assert_array_equal(x, [0.0])
 
     def test_off_image_rejected(self):
         fmap = paraboloid_line_map()
         img = hk.classify_line_image(fmap, [0.0], [1.0])
         with pytest.raises(NotOnImage):
-            hk.preimage_on_line(img, (0.0, 5.0))
+            preimage_on_line(img, [0.0], [1.0], (0.0, 5.0))
 
     def test_beyond_apex_rejected(self):
         fmap = double_square_map()
         img = hk.classify_line_image(fmap, [0.0], [1.0])
         with pytest.raises(NotOnImage):
-            hk.preimage_on_line(img, (-1.0, -2.0))
+            preimage_on_line(img, [0.0], [1.0], (-1.0, -2.0))
 
     def test_round_trip(self):
         rng = np.random.default_rng(37)
@@ -244,7 +236,7 @@ class TestPreimage:
             img = hk.classify_line_image(fmap, xb, yb)
             t0 = rng.uniform(-2, 2)
             target = hk.eval_map(fmap, xb + t0 * (yb - xb))
-            x = hk.preimage_on_line(img, target)
+            x = preimage_on_line(img, xb, yb, target)
             scale = img.coeffs.scale()
             assert np.max(np.abs(hk.eval_map(fmap, x) - target)) <= 1e-6 * scale
 
@@ -264,7 +256,7 @@ class TestPreimage:
             assert img.kind is LineImageKind.PARABOLA
             t0 = rng.uniform(-2, 2)
             target = hk.eval_map(fmap, xb + t0 * (yb - xb))
-            x = hk.preimage_on_line(img, target)
+            x = preimage_on_line(img, xb, yb, target)
             np.testing.assert_allclose(x, xb + t0 * (yb - xb), rtol=0, atol=1e-9)
             co = img.coeffs
             g_scale = 1 + max(abs(co.alpha_p), abs(co.beta_p), abs(co.gamma_p))
@@ -297,11 +289,11 @@ class TestPreimage:
             g_scale = 1 + max(map(abs, co.row(1)))
             target = np.array(co.at(rng.uniform(-2, 2))) + [0.0, 10 * g_scale]
             with pytest.raises(NotOnImage):
-                hk.preimage_on_line(img, target)
+                preimage_on_line(img, xb, yb, target)
             if kind is LineImageKind.RAY:
                 a, b, _ = co.row(img.pivot)
                 apex = np.array(co.at(-b / (2 * a)))
-                x = hk.preimage_on_line(img, apex)
+                x = preimage_on_line(img, xb, yb, apex)
                 miss = np.abs(hk.eval_map(fmap, x) - apex)
                 sizes = [1 + max(map(abs, co.row(k))) for k in (0, 1)]
                 assert np.all(miss <= 1e-9 * np.array(sizes))

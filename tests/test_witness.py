@@ -4,7 +4,7 @@ import pytest
 import hckit as hk
 from hckit.errors import NumericalBreakdown, PreconditionViolated
 from hckit.witness import Branch, WitnessCertificate, WitnessTrace
-from gen import witness_instance
+from gen import flat_stress_instance, witness_instance
 
 VERIFY_CFG = hk.DEFAULT_TOLERANCES.with_overrides(cert_tol=1e-6)
 LOOSE = hk.DEFAULT_TOLERANCES.with_overrides(cone_tol=1e-7)
@@ -178,6 +178,24 @@ class TestSoundness:
             w = alpha * pu.value + (1 - alpha) * pv.value
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
             assert hk.verify_certificate(fmap, cone, w, cert, VERIFY_CFG)
+
+    def test_flat_image_stress(self):
+        # on a ray or line image the point is a root on [0, 1] of the pivot
+        # polynomial (IVT), so x* = x_u + t (x_v - x_u) with t in [0, 1]
+        rng = np.random.default_rng(1010)
+        off_segment = []
+        for i, angle in enumerate(np.geomspace(0.01, 179.99, 1000)):
+            fmap, cone, pu, pv, alpha = flat_stress_instance(rng, (1, 2, 3, 6)[i % 4], angle)
+            w = alpha * pu.value + (1 - alpha) * pv.value
+            cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
+            assert hk.verify_certificate(fmap, cone, w, cert), (i, cert.branch)
+            d = pv.x - pu.x
+            t = float((cert.x_star - pu.x) @ d) / float(d @ d)
+            size = np.max(np.abs(pu.x)) + np.max(np.abs(d))
+            if not (-1e-12 <= t <= 1.0 + 1e-12
+                    and np.max(np.abs(cert.x_star - pu.x - t * d)) <= 1e-12 * size):
+                off_segment.append(i)
+        assert off_segment == [], f"{len(off_segment)} x* off the segment"
 
     def test_idempotent_membership(self):
         rng = np.random.default_rng(55)
