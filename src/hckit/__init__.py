@@ -10,7 +10,7 @@ everything to affine manifolds.
 """
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .cone2d import Cone2, ConeCoords, contains, coords, make_cone, positive_quadrant
+from .cone2d import Cone2, ConeCoords, contains, coords, positive_quadrant
 from .conic2d import Conic2
 from .quadmap import (AffineManifold, LineImage, LineImageKind, QuadraticForm,
                       QuadraticMap, classify_line_image, eval_map,
@@ -29,9 +29,8 @@ __all__ = [
     "LineImage", "LineImageKind", "MinResult", "Outcome", "QuadraticForm",
     "QuadraticMap", "SLemmaVerdict", "ToleranceConfig", "WitnessCertificate",
     "classify_line_image", "cone_point", "contains", "convexity_probe",
-    "coords", "decide", "dual_lower_bound", "eigh", "eval_map", "make_cone",
+    "coords", "decide", "dual_lower_bound", "eigh", "eval_map",
     "manifold_from_linear_system", "min_of_quadratic", "positive_quadrant",
-    "restrict_to_manifold",
-    "slater_check", "symmetrize", "verify_certificate",
+    "restrict_to_manifold", "slater_check", "symmetrize", "verify_certificate",
     "witness_convex_combination",
 ]

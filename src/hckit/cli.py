@@ -234,8 +234,7 @@ def _restricted(problem: Problem):
     """The working map plus a describing note; restricts when a manifold is set."""
     if problem.manifold is None:
         return problem.map, None
-    reduced = quadmap.restrict_to_manifold(problem.map, problem.manifold,
-                                           problem.tolerances)
+    reduced = quadmap.restrict_to_manifold(problem.map, problem.manifold)
     return reduced, {"ambient_dim": problem.manifold.ambient_dim,
                      "manifold_dim": problem.manifold.dim}
 
@@ -274,10 +273,9 @@ def _cmd_sample(args, argv) -> int:
         raise _CliError(EXIT_VALIDATION, "--count must be at least 1")
     if args.box < 0.0:
         raise _CliError(EXIT_VALIDATION, "--box must be nonnegative")
-    if not math.isfinite(2.0 * args.box):
-        raise _CliError(EXIT_VALIDATION, "--box is too large: 2 * box overflows")
     fmap, _ = _restricted(problem)
     cone = problem.cone
+    witness.check_box(fmap, cone, args.box)
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.count):

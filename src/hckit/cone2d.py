@@ -2,7 +2,7 @@
 
 The cone is ``{lam*b + bet*c : lam >= 0, bet >= 0}``; all membership and
 decomposition questions reduce to 2x2 coordinate arithmetic in the basis
-``{b, c}``.
+``{b, c}``.  A :class:`Cone2` is valid by construction.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DegenerateCone
 
+INDEP_TOL = 1e-10       # independent generators: |det| > INDEP_TOL * |b| * |c|
+
 
 @dataclass(frozen=True)
 class Cone2:
@@ -23,7 +25,9 @@ class Cone2:
     ``det`` is ``b x c`` and ``b_norm``, ``c_norm`` are ``|b|``, ``|c|``;
     all are fixed at construction, so coordinate queries take no norms.
     They are taken on Python floats with ``math.hypot``, so an overflow
-    gives an infinite or NaN value and no warning.
+    gives an infinite or NaN value and no warning.  Construction raises
+    :class:`DegenerateCone` unless ``|det| > INDEP_TOL * |b| * |c|``; a NaN
+    bound (``inf * 0`` from an overflowing norm) counts as dependent.
     """
 
     b: np.ndarray
@@ -43,6 +47,9 @@ class Cone2:
         object.__setattr__(self, "det", b0 * c1 - b1 * c0)
         object.__setattr__(self, "b_norm", math.hypot(b0, b1))
         object.__setattr__(self, "c_norm", math.hypot(c0, c1))
+        if not abs(self.det) > INDEP_TOL * self.b_norm * self.c_norm:
+            raise DegenerateCone(
+                f"generators are numerically dependent (|det| = {abs(self.det):.3e})")
 
 
 @dataclass(frozen=True)
@@ -51,40 +58,25 @@ class ConeCoords:
     bet: float
 
 
-def make_cone(b, c, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Cone2:
-    """Validated constructor; raises :class:`DegenerateCone` on dependence."""
-    cone = Cone2(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-    # written so that a NaN bound (inf * 0 from an overflowing norm) counts
-    if not abs(cone.det) > cfg.indep_tol * cone.b_norm * cone.c_norm:
-        raise DegenerateCone(
-            f"generators are numerically dependent (|det| = {abs(cone.det):.3e})"
-        )
-    return cone
-
-
 def positive_quadrant() -> Cone2:
     """The standard cone with generators (1, 0) and (0, 1)."""
-    return make_cone((1.0, 0.0), (0.0, 1.0))
+    return Cone2((1.0, 0.0), (0.0, 1.0))
 
 
-def coords(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ConeCoords:
+def coords(cone: Cone2, point) -> ConeCoords:
     """Coordinates of ``point`` in the basis ``{b, c}`` (Cramer's rule).
 
-    The generators are tested for dependence on every call, because a
-    :class:`Cone2` built directly is not validated.  The arithmetic is on
-    Python floats, so an overflow gives an infinite or NaN coordinate and
-    no warning.
+    ``det`` is nonzero by construction.  The arithmetic is on Python floats,
+    so an overflow gives an infinite or NaN coordinate and no warning.
     """
     p0, p1 = np.asarray(point, dtype=float).reshape(2).tolist()
-    if not abs(cone.det) > cfg.indep_tol * cone.b_norm * cone.c_norm:
-        raise DegenerateCone("cone generators are numerically dependent")
     (b0, b1), (c0, c1) = cone.b.tolist(), cone.c.tolist()
     return ConeCoords((p0 * c1 - p1 * c0) / cone.det, (b0 * p1 - b1 * p0) / cone.det)
 
 
 def contains(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Membership test: both coordinates at least ``-cfg.cone_tol``."""
-    co = coords(cone, point, cfg)
+    co = coords(cone, point)
     return co.lam >= -cfg.cone_tol and co.bet >= -cfg.cone_tol
 
 

@@ -8,8 +8,9 @@ locally computed scale unless noted otherwise, and every field is read by
 some code path: the eigendecomposition and SVD come from LAPACK and take no
 knobs of their own, the witness runs on the image polynomials, which take no
 conic classification threshold, and takes its point on a flat image from the
-intermediate value theorem, which takes no on-curve tolerance.  Problem files
-may still name a retired field (see ``hckit.problemio.RETIRED_TOLERANCES``).
+intermediate value theorem, which takes no on-curve tolerance.  A cone tests
+its generators once, when built, against ``hckit.cone2d.INDEP_TOL``.  Problem
+files may still name a retired field (see ``hckit.problemio.RETIRED_TOLERANCES``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class ToleranceConfig:
     range_tol: float = 1e-8            # residual slack for "m in range(M)"
 
     # planar cones
-    indep_tol: float = 1e-10           # |det| > indep_tol * |b| * |c|
     cone_tol: float = 1e-9             # default membership slack on coordinates
 
     # crossings of a parabola image

@@ -12,7 +12,7 @@ class HckError(Exception):
 
 
 class InternalNumerics(HckError):
-    """LAPACK failed or got a non-finite matrix, or a conic has no finite form."""
+    """LAPACK failed or got a non-finite matrix, or a line image has no finite form."""
 
 
 class DegenerateCone(HckError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone2d import Cone2, make_cone
+from .cone2d import Cone2, positive_quadrant
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DegenerateCone, HckError, ProblemFileError
 from .quadmap import AffineManifold, QuadraticForm, QuadraticMap, manifold_from_linear_system
@@ -102,7 +102,8 @@ def _parse_matrix_rows(raw, n_cols: int, field: str) -> np.ndarray:
 
 # tolerances that no code path reads any more; files naming them still parse
 RETIRED_TOLERANCES = frozenset({"rescue_factor", "jacobi_off_tol",
-                                "jacobi_max_sweeps", "class_tol", "on_tol"})
+                                "jacobi_max_sweeps", "class_tol", "on_tol",
+                                "indep_tol"})
 
 
 def _parse_tolerances(raw, field: str) -> ToleranceConfig:
@@ -152,13 +153,13 @@ def parse_problem(text: str | bytes) -> Problem:
 
     cone_raw = doc.get("cone")
     if cone_raw is None:
-        cone = make_cone((1.0, 0.0), (0.0, 1.0), tol)
+        cone = positive_quadrant()
     else:
         _require(isinstance(cone_raw, dict), "field 'cone' must be an object", "cone")
         b = _as_floats(cone_raw.get("b", []), 2, "cone.b")
         c = _as_floats(cone_raw.get("c", []), 2, "cone.c")
         try:
-            cone = make_cone(b, c, tol)
+            cone = Cone2(b, c)
         except DegenerateCone as exc:
             raise ProblemFileError(f"cone generators are dependent: {exc}", "cone")
 

@@ -66,6 +66,17 @@ class QuadraticForm:
             raise DimensionMismatch(f"point has length {xv.shape[0]}, expected {self.n}")
         return float(xv @ self.matrix @ xv + self.linear @ xv + self.constant)
 
+    def bound(self, s: float) -> float:
+        """``(sum|M| s) s + sum|m| s + |m0|``, at least ``|q(x)|`` when every ``|x_i| <= s``.
+
+        Taken on Python floats, so an overflow gives an infinite bound and no
+        warning; the product is grouped so that a zero matrix gives 0, not
+        ``0 * inf``, when only ``s * s`` overflows.
+        """
+        mat = sum(map(abs, self.matrix.ravel().tolist()))
+        lin = sum(map(abs, self.linear.tolist()))
+        return (mat * s) * s + lin * s + abs(self.constant)
+
     def along(self, x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
         """Coefficients ``(a, b, c)`` of ``q(x + s v) = a s^2 + b s + c``."""
         return (float(v @ self.matrix @ v),
@@ -228,6 +239,8 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     A nonzero determinant always produces a parabola, whose parameter map
     comes from shearing the dominant quadratic coordinate against the other
     one; its implicit equation is left to :attr:`LineImage.conic`.
+    Image polynomials whose coefficients overflow raise
+    :class:`InternalNumerics`.
     """
     xb = np.asarray(xbar, dtype=float).reshape(-1)
     yb = np.asarray(ybar, dtype=float).reshape(-1)
@@ -243,6 +256,8 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     co = LineCoeffs(*fmap.f.along(xb, d), *fmap.g.along(xb, d))
     al, be, ga = co.row(0)
     alp, bep, gap = co.row(1)
+    if not all(map(math.isfinite, (al, be, ga, alp, bep, gap))):
+        raise InternalNumerics("the line's image polynomials have a non-finite coefficient")
     row_f = max(abs(al), abs(be))
     row_g = max(abs(alp), abs(bep))
 
@@ -338,8 +353,7 @@ class AffineManifold:
         return self.x0 + self.basis @ zv
 
 
-def restrict_to_manifold(fmap: QuadraticMap, manifold: AffineManifold,
-                         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QuadraticMap:
+def restrict_to_manifold(fmap: QuadraticMap, manifold: AffineManifold) -> QuadraticMap:
     """Pull ``F`` back along ``z -> x0 + K z``; the result is again quadratic."""
     if manifold.ambient_dim != fmap.n:
         raise DimensionMismatch(

@@ -25,7 +25,8 @@ the pair of quadratic polynomials ``P(t) = F(x(t))``:
 Each crossing is a root of a scalar quadratic in ``t``, and ``e*`` is
 assembled from nonnegative cone coordinates, never by subtraction.  A
 certificate is returned only if it passes the predicate of
-:func:`verify_certificate` at ``cfg.cert_tol``; otherwise
+:func:`verify_certificate` at ``cfg.cert_tol``, run once, and the residual
+that predicate measured is kept on its trace; otherwise
 :class:`NumericalBreakdown` is raised with the trace attached.
 """
 
@@ -89,6 +90,7 @@ class WitnessTrace:
     psi_w: float = 0.0          # side of w against the parabola, < 0 inside
     ray_direction: str = ""     # "b" or "c": the ray or staircase leg crossed
     ray_t: float = 0.0          # tau >= 0 of the crossing along it
+    residual: float | None = None   # max|F(x*) + e* - w| once a certificate is returned
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -175,13 +177,15 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     def finish(x_star, e_star, branch: Branch) -> WitnessCertificate:
         x_star = np.asarray(x_star, dtype=float).reshape(-1)
         e_star = np.asarray(e_star, dtype=float).reshape(2)
-        if not _holds(fmap, cone, w.tolist(), x_star, e_star, cfg):
+        residual = _holds(fmap, cone, w.tolist(), x_star, e_star, cfg)
+        if residual is None:
             raise NumericalBreakdown(
                 f"{branch.value} certificate fails verification", trace)
+        trace.residual = residual
         return WitnessCertificate(x_star, e_star, branch, trace)
 
     def clamped(gap) -> np.ndarray:     # lam b + gam c, coordinates clamped at 0
-        co = cone2d.coords(cone, gap, cfg)
+        co = cone2d.coords(cone, gap)
         return max(co.lam, 0.0) * cone.b + max(co.bet, 0.0) * cone.c
 
     # endpoint coincidence: w equals one of the mapped points
@@ -191,8 +195,8 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
         return finish(point_v.x, clamped(w - v_bar), Branch.CASE1_V)
 
     # w - w_bar = alpha*e1 + beta*e2 = lam*b + gam*c
-    c1 = cone2d.coords(cone, point_u.e, cfg)
-    c2 = cone2d.coords(cone, point_v.e, cfg)
+    c1 = cone2d.coords(cone, point_u.e)
+    c2 = cone2d.coords(cone, point_v.e)
     lam = max(alpha * c1.lam + beta * c2.lam, 0.0)
     gam = max(alpha * c1.bet + beta * c2.bet, 0.0)
     trace.lam, trace.gam = lam, gam
@@ -245,17 +249,18 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
 
 
 def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
-           cfg: ToleranceConfig) -> bool:
-    """``F(x*) + e* = w`` to relative ``tol = cfg.cert_tol`` and ``e*`` in the cone.
+           cfg: ToleranceConfig) -> float | None:
+    """The residual ``max|F(x*) + e* - w|`` if the certificate holds, else None.
 
-    The cone coordinates of ``e*`` may fall below zero by
+    It holds when ``F(x*) + e* = w`` to relative ``tol = cfg.cert_tol`` and
+    ``e*`` is in the cone, whose coordinates may fall below zero by
     ``tol * (1 + |e*| |c| / |det|)`` (on b) and ``tol * (1 + |e*| |b| / |det|)``
     (on c); see :func:`verify_certificate`.  Non-finite data fails: ``x*``,
     ``w`` and ``F(x*) + e*`` are checked up front, each coordinate on its
     own, and an overflowing slack or coordinate fails too.
     """
     if not np.isfinite(x_star).all():
-        return False
+        return None
     tol = cfg.cert_tol
     e = np.asarray(e_star, dtype=float).reshape(2)
     e0, e1 = e.tolist()
@@ -264,18 +269,18 @@ def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
     v1 += e1
     w0, w1 = w
     if not all(map(math.isfinite, (w0, w1, v0, v1))):
-        return False
-    bound = tol * _value_scale((w0, w1), (v0, v1), (e0, e1))
-    if not (abs(v0 - w0) <= bound and abs(v1 - w1) <= bound):
-        return False
-    co = cone2d.coords(cone, e, cfg)      # raises DegenerateCone before det divides
+        return None
+    residual = max(abs(v0 - w0), abs(v1 - w1))
+    if not residual <= tol * _value_scale((w0, w1), (v0, v1), (e0, e1)):
+        return None
+    co = cone2d.coords(cone, e)
     # each coordinate gets the rounding of its own Cramer numerator
     e_norm = math.hypot(e0, e1)
     lam_floor = -tol * (1.0 + e_norm * (cone.c_norm / abs(cone.det)))
     bet_floor = -tol * (1.0 + e_norm * (cone.b_norm / abs(cone.det)))
     if not all(map(math.isfinite, (co.lam, co.bet, lam_floor, bet_floor))):
-        return False
-    return co.lam >= lam_floor and co.bet >= bet_floor
+        return None
+    return residual if co.lam >= lam_floor and co.bet >= bet_floor else None
 
 
 def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
@@ -297,7 +302,23 @@ def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,
     that overflows, never verifies.
     """
     return _holds(fmap, cone, np.asarray(w, dtype=float).reshape(2).tolist(),
-                  cert.x_star, cert.e_star, cfg)
+                  cert.x_star, cert.e_star, cfg) is not None
+
+
+def check_box(fmap: QuadraticMap, cone: cone2d.Cone2, radius: float) -> None:
+    """Refuse a box radius whose draws can overflow.
+
+    A draw is ``x`` with ``|x_i| <= radius`` and ``e = lam b + bet c`` with
+    ``lam, bet`` in ``[0, radius]``.  ``F(x) + e`` and every coefficient of
+    the image polynomials on the line between two draws are then at most
+    ``q.bound(2 radius) + radius (|b| + |c|)`` in size, for ``q`` each of
+    ``f`` and ``g``; a radius that makes this a-priori bound infinite or
+    NaN raises :class:`PreconditionViolated`.
+    """
+    reach = radius * (cone.b_norm + cone.c_norm)
+    if not all(math.isfinite(q.bound(2.0 * radius) + reach) for q in (fmap.f, fmap.g)):
+        raise PreconditionViolated(
+            f"box radius {radius!r} is too large: draws from the box can overflow")
 
 
 @dataclass
@@ -330,17 +351,18 @@ def convexity_probe(fmap: QuadraticMap, cone: cone2d.Cone2, trials: int,
     """Randomized corroboration that ``F(R^n) + cone`` is convex.
 
     Each trial draws two box points, two cone elements, and a strict mixing
-    weight, then runs the witness construction and the independent verifier.
-    Failures are collected as data, never raised.  Per-trial randomness is
-    derived from ``(rng_seed, trial)``, so reports are reproducible and
-    trials are independent.
+    weight, then runs the witness construction, whose one verification also
+    measures the residual read into ``max_residual``.  Breakdowns are
+    collected as data, never raised.  Per-trial randomness is derived from
+    ``(rng_seed, trial)``, so reports are reproducible and trials are
+    independent.  A radius refused by :func:`check_box` raises
+    :class:`PreconditionViolated`.
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
     if box_radius <= 0.0:
         raise PreconditionViolated("box_radius must be positive")
-    if not math.isfinite(2.0 * box_radius):
-        raise PreconditionViolated("box_radius is too large: 2 * box_radius overflows")
+    check_box(fmap, cone, box_radius)
     failures: list[TrialFailure] = []
     max_residual = 0.0
     branch_counts: dict[str, int] = {b.value: 0 for b in Branch}
@@ -356,7 +378,6 @@ def convexity_probe(fmap: QuadraticMap, cone: cone2d.Cone2, trials: int,
             alpha = rng.uniform()
         pu = cone_point(fmap, cone, x_u, e1, cfg)
         pv = cone_point(fmap, cone, x_v, e2, cfg)
-        w = alpha * pu.value + (1.0 - alpha) * pv.value
         try:
             cert = witness_convex_combination(fmap, cone, pu, pv, alpha, cfg)
         except NumericalBreakdown as exc:
@@ -364,11 +385,7 @@ def convexity_probe(fmap: QuadraticMap, cone: cone2d.Cone2, trials: int,
                                          f"breakdown: {exc}"))
             continue
         branch_counts[cert.branch.value] += 1
-        resid = float(np.max(np.abs(eval_map(fmap, cert.x_star) + cert.e_star - w)))
-        max_residual = max(max_residual, resid)
-        if not verify_certificate(fmap, cone, w, cert, cfg):
-            failures.append(TrialFailure(trial, pu.value, pv.value, alpha,
-                                         f"verification failed (residual {resid:.3e})"))
+        max_residual = max(max_residual, cert.trace.residual)
     summary = (f"n={n}, trials={trials}, failures={len(failures)}, "
                f"max_residual={max_residual:.3e}")
     return ConvexityReport(summary=summary, trials=trials, failures=failures,

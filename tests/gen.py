@@ -20,7 +20,7 @@ def random_cone(rng, min_angle_deg: float = 5.0,
     th = rng.uniform(0.0, 2.0 * np.pi)
     b = rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)])
     c = rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang), np.sin(th + ang)])
-    return hk.make_cone(b, c)
+    return hk.Cone2(b, c)
 
 
 def random_form(rng, n: int, coeff: float = 2.0) -> hk.QuadraticForm:

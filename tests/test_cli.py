@@ -94,6 +94,8 @@ class TestWitness:
         assert env["trace"]["ray_direction"] == "b"
         assert env["trace"]["ray_t"] == pytest.approx(1.0, abs=1e-12)
         assert env["trace"]["psi_w"] < 0.0
+        # the residual the constructor's one verification measured
+        assert 0.0 <= env["trace"]["residual"] <= 1e-9
 
     def test_identical_members(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -325,7 +327,8 @@ class TestProblemFiles:
     def test_retired_tolerance_ignored(self, tmp_path, capsys):
         # retired tolerances are no longer read; files naming them still load
         retired = {"rescue_factor": 100.0, "jacobi_off_tol": 1e-12,
-                   "jacobi_max_sweeps": 100, "class_tol": 1e-9, "on_tol": 1e-7}
+                   "jacobi_max_sweeps": 100, "class_tol": 1e-9, "on_tol": 1e-7,
+                   "indep_tol": 1e-3}
         problem = parse_problem(json.dumps({
             "schema_version": "1", "dimension": 1,
             "P": [1.0], "p": [0.0], "p0": 0.0,
@@ -340,7 +343,7 @@ class TestProblemFiles:
         assert code == 0
         listed = json.loads(out)["tolerances"]
         assert not set(retired) & set(listed)
-        assert len(listed) == 10
+        assert len(listed) == 9
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -454,6 +457,43 @@ class TestOverflow:
         code, _, err = run(capsys, args[:1] + [path] + args[1:] + ["--box", "1e308"])
         assert code == 2
         assert "too large" in err
+
+    @pytest.mark.parametrize("args", [
+        ["sample", "--count", "2"],
+        ["verify-convexity", "--trials", "5"],
+    ])
+    def test_box_overflows_the_map(self, tmp_path, capsys, args):
+        # 2 * 8e307 is finite, but F = (x^2, x) overflows once |x| passes
+        # about 1.3e154, so the a-priori bound refuses the radius up front
+        path = write_problem(tmp_path)
+        code, out, err = run(capsys, args[:1] + [path] + args[1:] + ["--box", "8e307"])
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
+    def test_large_finite_box_runs(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        code, out, _ = run(capsys, ["sample", path, "--count", "5", "--box", "1e100"])
+        assert code == 0
+        assert np.isfinite(np.array(out.split(), dtype=float)).all()
+        code, out, _ = run(capsys, ["verify-convexity", path, "--trials", "5",
+                                    "--box", "1e100"])
+        assert code == 0
+        json.loads(out, parse_constant=_refuse_constant)
+
+    # numpy warns as the products inside QuadraticForm.along overflow, before
+    # the coefficients reach the finiteness check that this test is about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_line_coefficients_overflow(self, tmp_path, capsys):
+        # F = (x^2 + 1e154 x, x^2/2 + x) on the line from 1e200 to -1e200:
+        # the coefficients are infinite, and the image must not be reported
+        # as a point at infinity
+        path = write_problem(tmp_path, P=[1.0], p=[1e154], Q=[0.5], q=[1.0])
+        code, out, err = run(capsys, ["classify-line", path, "--xbar", "1e200",
+                                      "--ybar=-1e200"])
+        assert code == 2
+        assert out == ""
+        assert "InternalNumerics" in err
 
     def test_flat_image_at_large_scale(self, tmp_path, capsys):
         # F = (1e154 x^2, 2e154 x^2 + 1): the 2x2 products of the flat test

@@ -18,13 +18,13 @@ class TestCoords:
         assert (co.lam, co.bet) == (2.0, 3.0)
 
     def test_rotated_basis(self):
-        k = hk.make_cone((1.0, 1.0), (-1.0, 1.0))
+        k = hk.Cone2((1.0, 1.0), (-1.0, 1.0))
         co = hk.coords(k, (0.0, 2.0))
         assert co.lam == pytest.approx(1.0, abs=1e-12)
         assert co.bet == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector(self):
-        k = hk.make_cone((0.3, 1.7), (-2.0, 0.4))
+        k = hk.Cone2((0.3, 1.7), (-2.0, 0.4))
         co = hk.coords(k, (0.0, 0.0))
         assert (co.lam, co.bet) == (0.0, 0.0)
 
@@ -35,8 +35,7 @@ class TestCoords:
         rng = np.random.default_rng(seed)
         ang = rng.uniform(np.deg2rad(5), np.pi - np.deg2rad(5))
         th = rng.uniform(0, 2 * np.pi)
-        k = hk.make_cone((np.cos(th), np.sin(th)),
-                         (np.cos(th + ang), np.sin(th + ang)))
+        k = hk.Cone2((np.cos(th), np.sin(th)), (np.cos(th + ang), np.sin(th + ang)))
         co = hk.coords(k, lam * k.b + bet * k.c)
         scale = 1.0 + max(abs(lam), abs(bet))
         assert abs(co.lam - lam) <= 1e-10 * scale
@@ -50,7 +49,7 @@ class TestContains:
         assert not hk.contains(k, (-1.0, 0.0), EXACT)
 
     def test_rotated(self):
-        k = hk.make_cone((1.0, 1.0), (-1.0, 1.0))
+        k = hk.Cone2((1.0, 1.0), (-1.0, 1.0))
         assert not hk.contains(k, (0.0, -1.0))
 
     def test_additivity(self):
@@ -58,8 +57,8 @@ class TestContains:
         for _ in range(1000):
             ang = rng.uniform(np.deg2rad(5), np.pi - np.deg2rad(5))
             th = rng.uniform(0, 2 * np.pi)
-            k = hk.make_cone((np.cos(th), np.sin(th)),
-                             (np.cos(th + ang), np.sin(th + ang)))
+            k = hk.Cone2((np.cos(th), np.sin(th)),
+                         (np.cos(th + ang), np.sin(th + ang)))
             p = cone2d.sample(k, 3.0, rng)
             q = cone2d.sample(k, 3.0, rng)
             assert hk.contains(k, p) and hk.contains(k, q)
@@ -68,7 +67,7 @@ class TestContains:
 
 class TestSample:
     def test_membership_by_construction(self):
-        k = hk.make_cone((2.0, 0.5), (-0.5, 1.0))
+        k = hk.Cone2((2.0, 0.5), (-0.5, 1.0))
         for seed in range(20):
             assert hk.contains(k, cone2d.sample(k, 4.0, seed), EXACT)
 
@@ -83,14 +82,20 @@ class TestSample:
 
 
 class TestDegenerate:
-    def test_parallel_generators(self):
-        with pytest.raises(DegenerateCone):
-            hk.make_cone((1.0, 2.0), (2.0, 4.0))
+    """A dependent cone is refused when it is built, so none is ever queried."""
 
-    def test_coords_guard(self):
-        k = cone2d.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
-        with pytest.raises(DegenerateCone):
-            hk.coords(k, (1.0, 0.0))
+    def test_parallel_generators(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCone):
+                hk.Cone2((1.0, 2.0), (2.0, 4.0))
+
+    def test_near_parallel_rejected(self):
+        # det is about 1e-12, nonzero, but below INDEP_TOL * |b| |c| = 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCone):
+                hk.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0 + 1e-12]))
 
     @pytest.mark.parametrize("big", [1e308, 1.5e308])
     def test_overflowing_norm_rejected(self, big):
@@ -99,17 +104,7 @@ class TestDegenerate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateCone):
-                hk.make_cone((big, big), (0.0, 0.0))
-
-    @pytest.mark.parametrize("query", [hk.coords, hk.contains])
-    def test_unvalidated_near_parallel_guard(self, query):
-        # a directly built Cone2 skips make_cone, so every query re-tests
-        # |det| against the stored |b| |c|
-        k = cone2d.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0 + 1e-12]))
-        assert k.det != 0.0
-        assert k.b_norm * k.c_norm == pytest.approx(10.0)
-        with pytest.raises(DegenerateCone):
-            query(k, (1.0, 0.0))
+                hk.Cone2((big, big), (0.0, 0.0))
 
     @pytest.mark.parametrize("query", [hk.coords, hk.contains])
     def test_point_length_checked(self, query):

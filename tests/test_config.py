@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,20 @@ def test_no_shadow_knobs():
                if callable(obj := getattr(hckit, name))
                and {"tol", "search"} & set(inspect.signature(obj).parameters)]
     assert shadows == []
+
+
+def test_every_cfg_is_read():
+    # a cfg parameter that the body never reads is a dead knob
+    unread = []
+    for name in hckit.__all__:
+        obj = getattr(hckit, name)
+        if not (inspect.isfunction(obj) and "cfg" in inspect.signature(obj).parameters):
+            continue
+        body = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0].body
+        if not any(isinstance(node, ast.Name) and node.id == "cfg"
+                   for stmt in body for node in ast.walk(stmt)):
+            unread.append(name)
+    assert unread == []
 
 
 def test_every_error_is_raised():

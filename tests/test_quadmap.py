@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hckit as hk
-from hckit.errors import DegenerateLine, DimensionMismatch, InconsistentSystem
+from hckit.errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
+                          InternalNumerics)
 from hckit.quadmap import LineImageKind
 from gen import random_form, random_map, rank_deficient_map
 from preimage import NotOnImage, preimage_on_line
@@ -149,6 +150,17 @@ class TestClassifyLineImage:
         img = hk.classify_line_image(hk.QuadraticMap(zero, zero2), [0.0], [1.0])
         assert img.kind is LineImageKind.POINT
         np.testing.assert_allclose(img.point, [2.0, -1.0])
+
+    # numpy warns as the products inside QuadraticForm.along overflow, before
+    # the coefficients reach the finiteness check that this test is about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_coefficients_refused(self):
+        # the coefficients are (inf, -inf, inf, ...): a point test against
+        # their infinite scale would pass and report a point at infinity
+        fmap = hk.QuadraticMap(hk.QuadraticForm([[1.0]], [1e154], 0.0),
+                               hk.QuadraticForm([[0.5]], [1.0], 0.0))
+        with pytest.raises(InternalNumerics):
+            hk.classify_line_image(fmap, [1e200], [-1e200])
 
     def test_parabola_payload_soundness(self):
         rng = np.random.default_rng(29)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hckit as hk
+from hckit import cone2d, witness
 from hckit.errors import NumericalBreakdown, PreconditionViolated
 from hckit.witness import Branch, WitnessCertificate, WitnessTrace
 from gen import flat_stress_instance, witness_instance
@@ -103,7 +104,7 @@ class TestVerifyCertificate:
                 b = scale * rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)])
                 c = ratio * scale * rng.uniform(0.5, 2.0) * np.array(
                     [np.cos(th + ang), np.sin(th + ang)])
-                cone = hk.make_cone(b, c)
+                cone = hk.Cone2(b, c)
                 longest = max(cone.b_norm, cone.c_norm)
                 for out in (100.0 * tol, 1e-3, 0.5):
                     for edge, turn in ((b, -out), (c, out)):
@@ -128,7 +129,7 @@ class TestVerifyCertificate:
         fmap = parabola_map()
         cert = WitnessCertificate(np.array([0.0]), np.array(e), Branch.CASE1_U,
                                   WitnessTrace())
-        assert not hk.verify_certificate(fmap, hk.make_cone(b, c), e, cert)
+        assert not hk.verify_certificate(fmap, hk.Cone2(b, c), e, cert)
 
     def test_cone_slack_accepts_ray_hit_rounding(self):
         # e* = tau*b with tau up to 1e10 in cones down to 0.02 degrees:
@@ -140,9 +141,9 @@ class TestVerifyCertificate:
         for _ in range(400):
             th = rng.uniform(0.0, 2.0 * np.pi)
             ang = np.deg2rad(10.0 ** rng.uniform(np.log10(0.02), np.log10(2.3)))
-            cone = hk.make_cone(rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)]),
-                                rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang),
-                                                                  np.sin(th + ang)]))
+            cone = hk.Cone2(rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)]),
+                            rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang),
+                                                              np.sin(th + ang)]))
             edge = cone.b if rng.uniform() < 0.5 else cone.c
             e = 10.0 ** rng.uniform(6.0, 10.0) * edge
             co = hk.coords(cone, e)
@@ -178,6 +179,18 @@ class TestSoundness:
             w = alpha * pu.value + (1 - alpha) * pv.value
             cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
             assert hk.verify_certificate(fmap, cone, w, cert, VERIFY_CFG)
+
+    def test_trace_residual_is_recomputed(self):
+        # criterion 1's generator: the trace keeps the residual that the one
+        # verification measured, max|F(x*) + e* - w|, bit for bit
+        for n in (1, 2, 3, 6):
+            rng = np.random.default_rng(200 + n)
+            for _ in range(100):
+                fmap, cone, pu, pv, alpha = witness_instance(rng, n)
+                w = alpha * pu.value + (1 - alpha) * pv.value
+                cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
+                value = hk.eval_map(fmap, cert.x_star) + cert.e_star
+                assert cert.trace.residual == float(np.max(np.abs(value - w)))
 
     def test_flat_image_stress(self):
         # on a ray or line image the point is a root on [0, 1] of the pivot
@@ -253,13 +266,12 @@ class TestSoundness:
         cone = hk.positive_quadrant()
         pu = hk.cone_point(fmap, cone, [-2.0], [0.0, 0.0])
         pv = hk.cone_point(fmap, cone, [1.0], [0.0, 0.0])
-        from hckit import witness
-
         monkeypatch.setattr(witness, "_eliminant_crossings", lambda *a, **kw: [])
         with pytest.raises(NumericalBreakdown) as err:
             hk.witness_convex_combination(fmap, cone, pu, pv, 0.5)
         trace = err.value.trace
         assert trace is not None
+        assert trace.residual is None
         assert trace.image_kind == "Parabola"
         assert trace.psi_w < 0.0
         assert trace.ray_direction == ""
@@ -289,3 +301,48 @@ class TestConvexityProbe:
     def test_box_validation(self):
         with pytest.raises(PreconditionViolated):
             hk.convexity_probe(parabola_map(), hk.positive_quadrant(), 1, 1, 0.0)
+
+    @pytest.mark.parametrize("box", [8e307, 1e308])
+    def test_box_overflow_refused(self, box):
+        # F = (x^2, x) overflows once |x| passes about 1.3e154
+        with pytest.raises(PreconditionViolated, match="too large"):
+            hk.convexity_probe(parabola_map(), hk.positive_quadrant(), 1, 1, box)
+
+    def test_linear_map_takes_a_large_box(self):
+        # a zero matrix bounds its quadratic part by (0 * s) * s = 0 even
+        # where s * s overflows, so only the linear growth limits the box
+        fmap = hk.QuadraticMap(hk.QuadraticForm([[0.0]], [1.0], 0.0),
+                               hk.QuadraticForm([[0.0]], [-1.0], 0.0))
+        report = hk.convexity_probe(fmap, hk.positive_quadrant(), 20, 3, 1e200)
+        assert report.consistent and np.isfinite(report.max_residual)
+
+    def test_box_guard_runs_once_per_call(self, monkeypatch):
+        calls = []
+        guard = witness.check_box
+        monkeypatch.setattr(witness, "check_box", lambda *a: calls.append(a) or guard(*a))
+        hk.convexity_probe(parabola_map(), hk.positive_quadrant(), 20, 1, 1.0)
+        assert len(calls) == 1
+
+    def test_max_residual_is_recomputed(self):
+        # replay each trial's draws from (rng_seed, trial) and recompute
+        # max|F(x*) + e* - w| outside the probe, bit for bit
+        fmap, cone, _, _, _ = witness_instance(np.random.default_rng(3), 3)
+        trials, seed, box = 60, 11, 2.0
+        report = hk.convexity_probe(fmap, cone, trials, seed, box)
+        assert report.consistent
+        expected = 0.0
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, trial])
+            x_u = rng.uniform(-box, box, size=3)
+            x_v = rng.uniform(-box, box, size=3)
+            e1 = cone2d.sample(cone, box, rng)
+            e2 = cone2d.sample(cone, box, rng)
+            alpha = rng.uniform()
+            assert 0.0 < alpha < 1.0
+            pu = hk.cone_point(fmap, cone, x_u, e1)
+            pv = hk.cone_point(fmap, cone, x_v, e2)
+            cert = hk.witness_convex_combination(fmap, cone, pu, pv, alpha)
+            w = alpha * pu.value + (1.0 - alpha) * pv.value
+            value = hk.eval_map(fmap, cert.x_star) + cert.e_star
+            expected = max(expected, float(np.max(np.abs(value - w))))
+        assert report.max_residual == expected
