@@ -90,12 +90,25 @@ class TestDegenerate:
             with pytest.raises(DegenerateCone):
                 hk.Cone2((1.0, 2.0), (2.0, 4.0))
 
-    def test_near_parallel_rejected(self):
-        # det is about 1e-12, nonzero, but below INDEP_TOL * |b| |c| = 1e-9
+    def test_coords_guard(self):
+        # the guard that coords once ran is now Cone2's: no query on a
+        # parallel pair gets past construction
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateCone):
-                hk.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0 + 1e-12]))
+                hk.coords(cone2d.Cone2(np.array([1.0, 2.0]), np.array([2.0, 4.0])), (1.0, 0.0))
+
+    @pytest.mark.parametrize("query", [hk.coords, hk.contains])
+    def test_unvalidated_near_parallel_guard(self, query):
+        # det is about 1e-12, nonzero, but below INDEP_TOL * |b| |c| = 1e-9,
+        # so building the cone raises before the query runs
+        b, c = np.array([1.0, 2.0]), np.array([2.0, 4.0 + 1e-12])
+        assert b[0] * c[1] - b[1] * c[0] != 0.0
+        assert np.linalg.norm(b) * np.linalg.norm(c) == pytest.approx(10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCone):
+                query(cone2d.Cone2(b, c), (1.0, 0.0))
 
     @pytest.mark.parametrize("big", [1e308, 1.5e308])
     def test_overflowing_norm_rejected(self, big):
