@@ -133,13 +133,12 @@ def _emit(args, text: str):
 
 def _cmd_classify_line(args, argv) -> int:
     problem = _load(args)
-    cfg = problem.tolerances
     n = problem.map.n
     xbar = _parse_vector(args.xbar, n, "--xbar")
     ybar = _parse_vector(args.ybar, n, "--ybar")
     start = time.perf_counter()
     try:
-        img = quadmap.classify_line_image(problem.map, xbar, ybar, cfg)
+        img = quadmap.classify_line_image(problem.map, xbar, ybar)
     except DegenerateLine as exc:
         raise _CliError(EXIT_DEGENERATE, f"degenerate line: {exc}")
     payload: dict = {"kind": img.kind.value,
@@ -157,7 +156,7 @@ def _cmd_classify_line(args, argv) -> int:
                             "a0": img.conic.a0}
         payload["parameter_map"] = {"row": img.t_row, "slope": img.t_slope,
                                     "offset": img.t_offset}
-    env = result_envelope(argv, problem.digest, payload, cfg,
+    env = result_envelope(argv, problem.digest, payload, problem.tolerances,
                           time.perf_counter() - start)
     _emit(args, dump_envelope(env))
     return EXIT_OK
@@ -202,7 +201,7 @@ def _cmd_witness(args, argv) -> int:
         pu = witness.cone_point(fmap, cone, xu, e1, cfg)
         pv = witness.cone_point(fmap, cone, xv, e2, cfg)
     except PreconditionViolated as exc:
-        raise _CliError(EXIT_VALIDATION, f"cone element rejected: {exc}")
+        raise _CliError(EXIT_VALIDATION, f"member rejected: {exc}")
     w = args.alpha * pu.value + (1.0 - args.alpha) * pv.value
     start = time.perf_counter()
     try:
@@ -299,7 +298,7 @@ def _cmd_verify_convexity(args, argv) -> int:
         if problem.manifold is None:
             raise _CliError(EXIT_VALIDATION,
                             "--rho requires a manifold in the problem file")
-        bound = slemma.dual_lower_bound(fmap.f, fmap.g, cfg)
+        bound = slemma.dual_lower_bound(fmap.f, fmap.g)
         if not np.isfinite(bound):
             raise _CliError(EXIT_VALIDATION,
                             "cannot validate --rho: dual value is nowhere finite")
@@ -380,12 +379,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = frozenset({"--xbar", "--ybar", "--xu", "--xv", "--e1", "--e2",
+                          "--x-star", "--alpha", "--box", "--rho"})
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value`` for the value flags: argparse
+    takes a value such as ``-2e-3`` or ``-1,2`` for an option otherwise."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     if args.command == "witness" and not args.verify_envelope:

@@ -103,7 +103,8 @@ def _parse_matrix_rows(raw, n_cols: int, field: str) -> np.ndarray:
 # tolerances that no code path reads any more; files naming them still parse
 RETIRED_TOLERANCES = frozenset({"rescue_factor", "jacobi_off_tol",
                                 "jacobi_max_sweeps", "class_tol", "on_tol",
-                                "indep_tol"})
+                                "indep_tol", "psd_tol", "range_tol", "root_tol",
+                                "det_tol", "line_tol", "eq_tol"})
 
 
 def _parse_tolerances(raw, field: str) -> ToleranceConfig:
@@ -212,8 +213,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 

@@ -8,7 +8,8 @@ is one affine map, and the side of a point against it is one polynomial
 evaluation.  The implicit conic equation of a parabola is expanded on
 demand, for reporting only.  Restriction to affine manifolds
 ``x0 + range(K)`` yields another quadratic map, so every operation
-transfers.
+transfers.  The classification's two thresholds are the module constants
+``DET_TOL`` and ``LINE_TOL``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
                      InternalNumerics)
 from .smallmat import _lapack
+
+DET_TOL = 1e-9      # |alpha*beta' - alpha'*beta| vs the two rows' sizes
+LINE_TOL = 1e-12    # endpoints equal => degenerate line
 
 
 @dataclass(frozen=True)
@@ -225,22 +229,21 @@ class LineImage:
             self.coeffs.at(self.parameter_of(u))[q] - u[q])
 
 
-def classify_line_image(fmap: QuadraticMap, xbar, ybar,
-                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LineImage:
+def classify_line_image(fmap: QuadraticMap, xbar, ybar) -> LineImage:
     """Decide which of the four image shapes the line produces.
 
     The split is on the determinant of the quadratic/linear coefficient pairs
     of the two image polynomials, relative to the product of the two pairs'
     own sizes so that f and g at different scales do not flatten a
-    parabola.  A (near-)zero determinant means the two polynomials are
-    proportional up to constants, so the image sits on a straight line: a
-    point if everything non-constant vanishes, a full line if the shared
-    polynomial is affine, a ray if it is genuinely quadratic.
-    A nonzero determinant always produces a parabola, whose parameter map
-    comes from shearing the dominant quadratic coordinate against the other
-    one; its implicit equation is left to :attr:`LineImage.conic`.
-    Image polynomials whose coefficients overflow raise
-    :class:`InternalNumerics`.
+    parabola.  A determinant within ``DET_TOL`` of zero means the two
+    polynomials are proportional up to constants, so the image sits on a
+    straight line: a point if everything non-constant vanishes, a full line
+    if the shared polynomial is affine, a ray if it is genuinely quadratic.
+    Any larger determinant produces a parabola, whose parameter map comes
+    from shearing the dominant quadratic coordinate against the other one;
+    its implicit equation is left to :attr:`LineImage.conic`.  Endpoints
+    that agree to ``LINE_TOL`` raise :class:`DegenerateLine`, and image
+    polynomials whose coefficients overflow raise :class:`InternalNumerics`.
     """
     xb = np.asarray(xbar, dtype=float).reshape(-1)
     yb = np.asarray(ybar, dtype=float).reshape(-1)
@@ -248,7 +251,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
         raise DimensionMismatch("line endpoints have different lengths")
     ref = 1.0 + max(float(np.max(np.abs(xb), initial=0.0)),
                     float(np.max(np.abs(yb), initial=0.0)))
-    if xb.size == 0 or float(np.max(np.abs(yb - xb))) <= cfg.line_tol * ref:
+    if xb.size == 0 or float(np.max(np.abs(yb - xb))) <= LINE_TOL * ref:
         raise DegenerateLine("line endpoints coincide")
     if xb.shape[0] != fmap.n:
         raise DimensionMismatch(f"points have length {xb.shape[0]}, map expects {fmap.n}")
@@ -261,7 +264,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     row_f = max(abs(al), abs(be))
     row_g = max(abs(alp), abs(bep))
 
-    if max(row_f, row_g) <= cfg.det_tol * co.scale():
+    if max(row_f, row_g) <= DET_TOL * co.scale():
         return LineImage(LineImageKind.POINT, co, point=np.array([ga, gap]))
 
     # each row's (quadratic, linear) pair scaled by a power of two, which is
@@ -269,7 +272,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
     ef, eg = math.frexp(row_f)[1], math.frexp(row_g)[1]
     fq, fl = math.ldexp(al, -ef), math.ldexp(be, -ef)
     gq, gl = math.ldexp(alp, -eg), math.ldexp(bep, -eg)
-    if abs(fq * gl - gq * fl) <= (cfg.det_tol * math.ldexp(row_f, -ef)
+    if abs(fq * gl - gq * fl) <= (DET_TOL * math.ldexp(row_f, -ef)
                                   * math.ldexp(row_g, -eg)):
         # proportional rows: pivot on the larger pair for stability
         pivot = 0 if row_f >= row_g else 1
@@ -278,7 +281,7 @@ def classify_line_image(fmap: QuadraticMap, xbar, ybar,
         dot = fq * gq + fl * gl      # k = other row / pivot row, scaling undone
         k = (math.ldexp(dot / (fq * fq + fl * fl), eg - ef) if pivot == 0
              else math.ldexp(dot / (gq * gq + gl * gl), ef - eg))
-        if abs(a1) <= cfg.det_tol * max(abs(a1), abs(b1)):
+        if abs(a1) <= DET_TOL * max(abs(a1), abs(b1)):
             return LineImage(
                 LineImageKind.LINE, co,
                 line_point=np.array([ga, gap]),

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cone2d import positive_quadrant
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import NumericalBreakdown, SlaterViolated
+from .errors import NumericalBreakdown, PreconditionViolated, SlaterViolated
 from .quadmap import QuadraticForm, QuadraticMap
 from .smallmat import MinResult, min_of_quadratic, quadratic_roots
 from .witness import cone_point, witness_convex_combination
@@ -65,10 +65,6 @@ def combine(f: QuadraticForm, g: QuadraticForm, lam: float) -> QuadraticForm:
     return QuadraticForm(f.matrix + lam * g.matrix,
                          f.linear + lam * g.linear,
                          f.constant + lam * g.constant)
-
-
-def _parts(q: QuadraticForm):
-    return q.matrix, q.linear, q.constant
 
 
 def _first_reach(q: QuadraticForm, x: np.ndarray, v: np.ndarray, target: float,
@@ -123,10 +119,10 @@ class _DualSearch:
             return self.below.f
         return min(self.below.f, self.crossing()[1])
 
-    def probe(self, lam: float, cfg: ToleranceConfig) -> MinResult:
+    def probe(self, lam: float) -> MinResult:
         """Evaluate the dual at ``lam``; move the bracket and keep a point."""
         h = combine(self.f, self.g, lam)
-        res = min_of_quadratic(*_parts(h), cfg)
+        res = min_of_quadratic(h.matrix, h.linear, h.constant)
         self.samples.append((lam, res.value if res.bounded else -math.inf))
         if res.bounded:
             if res.value > self.best_value:
@@ -154,8 +150,7 @@ class _DualSearch:
         return res
 
 
-def _search(f: QuadraticForm, g: QuadraticForm, x0, cfg: ToleranceConfig,
-            stop_below: float) -> _DualSearch:
+def _search(f: QuadraticForm, g: QuadraticForm, x0, stop_below: float) -> _DualSearch:
     """Bisect the dual's argmax in ``[0, LAMBDA_MAX]`` to 1e-12 relative,
     then probe the midpoint into ``final``; stop early once the upper bound
     is below ``stop_below``."""
@@ -164,25 +159,24 @@ def _search(f: QuadraticForm, g: QuadraticForm, x0, cfg: ToleranceConfig,
     while state.hi - state.lo > 1e-12 * (1.0 + state.hi):
         if state.upper() < stop_below:
             return state
-        state.probe(0.5 * (state.lo + state.hi), cfg)
+        state.probe(0.5 * (state.lo + state.hi))
     lam = 0.5 * (state.lo + state.hi)
-    state.final = (lam, state.probe(lam, cfg))
+    state.final = (lam, state.probe(lam))
     return state
 
 
-def dual_lower_bound(f: QuadraticForm, g: QuadraticForm,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def dual_lower_bound(f: QuadraticForm, g: QuadraticForm) -> float:
     """Best dual value found; by weak duality a lower bound on
     ``inf {f(x) : g(x) <= 0}`` whenever that set is nonempty (``-inf`` if the
     dual is nowhere finite on the searched range)."""
-    return _search(f, g, np.zeros(f.n), cfg, -math.inf).best_value
+    return _search(f, g, np.zeros(f.n), -math.inf).best_value
 
 
 def _segment_counterexample(state: _DualSearch,
                             cfg: ToleranceConfig) -> np.ndarray | None:
     """A point with ``f`` at most the kept segment's value at ``g = 0`` and
     ``g <= 0``: the ``g <= 0`` end when no lower, else the witness for that
-    mix with the cone ``R^2_+``."""
+    mix with the cone ``R^2_+`` (None if that breaks down or overflows)."""
     a, b = state.above, state.below
     alpha = 0.0 if a is None else b.g / (b.g - a.g)  # a's weight at g = 0
     if alpha <= 0.0 or b.f <= state.crossing()[1]:
@@ -194,7 +188,7 @@ def _segment_counterexample(state: _DualSearch,
         return witness_convex_combination(
             fmap, cone, cone_point(fmap, cone, a.x, zero, cfg),
             cone_point(fmap, cone, b.x, zero, cfg), alpha, cfg).x_star
-    except NumericalBreakdown:
+    except (NumericalBreakdown, PreconditionViolated):
         return None
 
 
@@ -211,11 +205,11 @@ def decide(f: QuadraticForm, g: QuadraticForm, x_star,
     if not slater_check(g, x_star):
         raise SlaterViolated("g(x*) is not strictly negative")
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    state = _search(f, g, x_star, cfg, -SLACK)
+    state = _search(f, g, x_star, -SLACK)
     lam, final = state.final or (None, None)
     if final is not None:
         if not (final.bounded and final.value >= -SLACK):
-            # the midpoint can fall just past the psd_tol band that
+            # the midpoint can fall just past the PSD_TOL band that
             # min_of_quadratic counts as bounded, next to a probe inside it
             lam = state.best_lambda if state.best_value >= -SLACK else None
         if lam is not None:

@@ -6,7 +6,8 @@ guard shared with :func:`hckit.quadmap.manifold_from_linear_system` (whose
 one SVD gives rank, kernel and min-norm solution).  The matrix work is
 LAPACK through numpy, ``np.linalg.eigh`` for symmetric matrices.
 Everything is plain ``float64`` at desk scale (n up to a few hundred);
-there is no sparse or complex support.
+there is no sparse or complex support.  :func:`min_of_quadratic` tests
+PSD and range at the module constants ``PSD_TOL`` and ``RANGE_TOL``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import InternalNumerics
+
+PSD_TOL = 1e-9      # "is PSD" slack on eigenvalues, relative to 1 + max|eigenvalue|
+RANGE_TOL = 1e-8    # residual slack for "m in range(M)", relative to 1 + |m|
 
 
 def symmetrize(entries) -> np.ndarray:
@@ -83,12 +86,11 @@ class MinResult:
     direction: np.ndarray | None = None
 
 
-def min_of_quadratic(matrix, linear, constant: float,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MinResult:
+def min_of_quadratic(matrix, linear, constant: float) -> MinResult:
     """Globally minimize ``q(x) = <Mx, x> + <m, x> + m0`` over all of R^n.
 
-    Bounded requires ``M`` PSD up to ``cfg.psd_tol`` and ``m`` in the range
-    of ``M`` up to ``cfg.range_tol``; the infimum is then
+    Bounded requires ``M`` PSD up to ``PSD_TOL`` and ``m`` in the range of
+    ``M`` up to ``RANGE_TOL``; the infimum is then
     ``m0 - (1/4) m^T M^+ m``, attained where ``M x = -m/2``.  Eigenvalues
     count as zero only up to ``eigh``'s rounding level, so a small positive
     one keeps its term and the value is not overstated.  Otherwise a
@@ -102,14 +104,14 @@ def min_of_quadratic(matrix, linear, constant: float,
     lam = dec.eigenvalues
     vecs = dec.eigenvectors
     scale = 1.0 + float(np.max(np.abs(lam)))
-    if lam[0] < -cfg.psd_tol * scale:
+    if lam[0] < -PSD_TOL * scale:
         return MinResult(bounded=False, direction=vecs[:, 0].copy())
     coords = vecs.T @ mvec
-    # eigenvalues from -psd_tol*scale up to eigh's rounding level count as
+    # eigenvalues from -PSD_TOL*scale up to eigh's rounding level count as
     # zero; every larger one, however small, keeps its term
     near_null = lam <= lam.size * np.finfo(float).eps * scale
     resid = float(np.linalg.norm(coords[near_null])) if np.any(near_null) else 0.0
-    if resid > cfg.range_tol * (1.0 + float(np.linalg.norm(mvec))):
+    if resid > RANGE_TOL * (1.0 + float(np.linalg.norm(mvec))):
         idx = int(np.argmax(np.where(near_null, np.abs(coords), -np.inf)))
         d = -math.copysign(1.0, coords[idx]) * vecs[:, idx]
         return MinResult(bounded=False, direction=d)

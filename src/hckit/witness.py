@@ -27,7 +27,9 @@ assembled from nonnegative cone coordinates, never by subtraction.  A
 certificate is returned only if it passes the predicate of
 :func:`verify_certificate` at ``cfg.cert_tol``, run once, and the residual
 that predicate measured is kept on its trace; otherwise
-:class:`NumericalBreakdown` is raised with the trace attached.
+:class:`NumericalBreakdown` is raised with the trace attached.  The
+construction's own thresholds are the module constants ``EQ_TOL`` (endpoint
+coincidence) and ``ROOT_TOL`` (crossing slack), both times the data scale.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DegenerateLine, NumericalBreakdown, PreconditionViolated
 from .quadmap import LineImageKind, QuadraticMap, eval_map
 from .smallmat import quadratic_roots
+
+EQ_TOL = 1e-9       # "w coincides with an endpoint" trigger, times the data scale
+ROOT_TOL = 1e-9     # crossing slack along a leg, times the data scale
 
 
 class Branch(enum.Enum):
@@ -70,12 +75,15 @@ class ConePoint:
 
 def cone_point(fmap: QuadraticMap, cone: cone2d.Cone2, x, e,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ConePoint:
-    """Validated constructor: checks ``e`` is in the cone."""
+    """Validated constructor: checks ``e`` is in the cone and ``F(x) + e``
+    is finite (an overflowing member raises :class:`PreconditionViolated`)."""
     ev = np.asarray(e, dtype=float).reshape(2)
     if not cone2d.contains(cone, ev, cfg):
         raise PreconditionViolated("e is not a cone element")
-    return ConePoint(x=np.asarray(x, dtype=float), e=ev,
-                     value=eval_map(fmap, x) + ev)
+    value = eval_map(fmap, x) + ev
+    if not all(map(math.isfinite, value.tolist())):
+        raise PreconditionViolated("F(x) + e is not finite")
+    return ConePoint(x=np.asarray(x, dtype=float), e=ev, value=value)
 
 
 @dataclass
@@ -189,9 +197,9 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
         return max(co.lam, 0.0) * cone.b + max(co.bet, 0.0) * cone.c
 
     # endpoint coincidence: w equals one of the mapped points
-    if float(np.max(np.abs(w - u_bar))) <= cfg.eq_tol * scale:
+    if float(np.max(np.abs(w - u_bar))) <= EQ_TOL * scale:
         return finish(point_u.x, clamped(w - u_bar), Branch.CASE1_U)
-    if float(np.max(np.abs(w - v_bar))) <= cfg.eq_tol * scale:
+    if float(np.max(np.abs(w - v_bar))) <= EQ_TOL * scale:
         return finish(point_v.x, clamped(w - v_bar), Branch.CASE1_V)
 
     # w - w_bar = alpha*e1 + beta*e2 = lam*b + gam*c
@@ -203,7 +211,7 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
     gap = lam * cone.b + gam * cone.c
 
     try:
-        img = quadmap.classify_line_image(fmap, point_u.x, point_v.x, cfg)
+        img = quadmap.classify_line_image(fmap, point_u.x, point_v.x)
     except DegenerateLine:
         # x_u and x_v coincide, so F(x_u) is w_bar
         return finish(point_u.x, gap, Branch.CASE1_U)
@@ -237,7 +245,7 @@ def witness_convex_combination(fmap: QuadraticMap, cone: cone2d.Cone2,
                 ("c", w - lam * cone.b, cone.c, gam, lam * cone.b))
     hits = []
     for label, base, d, reach, offset in legs:
-        found = _first_crossing(co, base, d, reach, cfg.root_tol * scale)
+        found = _first_crossing(co, base, d, reach, ROOT_TOL * scale)
         if found is not None:
             hits.append((found[1], label, found[0], offset + found[1] * d))
     if not hits:

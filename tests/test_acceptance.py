@@ -95,7 +95,7 @@ def test_criterion_4_backward_ray_hit():
     # inside, the nearer of the backward rays z - tau*b, z - tau*c meets
     # the parabola image
     rng = np.random.default_rng(44)
-    root_tol = hk.DEFAULT_TOLERANCES.root_tol
+    root_tol = hk.witness.ROOT_TOL
     worst = 0.0
     for _ in range(1000):
         conic, point_at, fmap = parabola_map(rng)

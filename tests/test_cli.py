@@ -328,7 +328,8 @@ class TestProblemFiles:
         # retired tolerances are no longer read; files naming them still load
         retired = {"rescue_factor": 100.0, "jacobi_off_tol": 1e-12,
                    "jacobi_max_sweeps": 100, "class_tol": 1e-9, "on_tol": 1e-7,
-                   "indep_tol": 1e-3}
+                   "indep_tol": 1e-3, "psd_tol": 1e-3, "range_tol": 1e-3,
+                   "root_tol": 1e-3, "det_tol": 1e-3, "line_tol": 1e-3, "eq_tol": 1e-3}
         problem = parse_problem(json.dumps({
             "schema_version": "1", "dimension": 1,
             "P": [1.0], "p": [0.0], "p0": 0.0,
@@ -343,7 +344,7 @@ class TestProblemFiles:
         assert code == 0
         listed = json.loads(out)["tolerances"]
         assert not set(retired) & set(listed)
-        assert len(listed) == 9
+        assert len(listed) == 3
 
     def test_envelope_round_trip(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -413,12 +414,12 @@ class TestNonFiniteInput:
         self.check_rejected(tmp_path, capsys, "tolerances.cert_tol",
                             tolerances={"cert_tol": bad})
         tol_path = tmp_path / "tol.json"
-        tol_path.write_text(json.dumps({"det_tol": bad}))
+        tol_path.write_text(json.dumps({"cone_tol": bad}))
         code, _, err = run(capsys, ["witness", write_problem(tmp_path), "--xu", "1",
                                     "--xv", "-1", "--alpha", "0.5",
                                     "--tol-config", str(tol_path)])
         assert code == 2
-        assert "det_tol" in err
+        assert "cone_tol" in err
 
     @pytest.mark.parametrize("args", [
         ["witness", "--xu", "nan", "--xv", "-1", "--alpha", "0.5"],
@@ -434,8 +435,42 @@ class TestNonFiniteInput:
         assert "finite" in err
 
 
+class TestValueFlags:
+    @pytest.mark.parametrize("overrides, args, key, expected", [
+        ({"dimension": 2, "P": [1.0, 0.0, 0.0, 1.0], "p": [0.0, 0.0],
+          "Q": [0.0, 0.0, 0.0, 0.0], "q": [1.0, 0.0]},
+         ["witness", "--xu", "-1,2", "--xv", "1,0", "--alpha", "0.5"], "verified", True),
+        ({}, ["slemma", "--x-star", "-2e-3"], "outcome", "MultiplierFound"),
+        ({"dimension": 2, "P": [1.0, 0.0, 0.0, 1.0], "p": [0.0, 0.0],
+          "Q": [0.0, 0.0, 0.0, 0.0], "q": [0.0, 1.0], "q0": -10.0,
+          "manifold": {"H": [[1.0, 0.0]], "d": [1.0]}},
+         ["verify-convexity", "--trials", "5", "--rho", "-1e-3"], "rho", -1e-3),
+    ])
+    def test_leading_minus_value(self, tmp_path, capsys, overrides, args, key, expected):
+        # argparse takes "-1,2" or "-2e-3" after a flag for an option unless
+        # main joins the value to its flag; the envelope keeps the argv as given
+        argv = args[:1] + [write_problem(tmp_path, **overrides)] + args[1:]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        env = json.loads(out)
+        assert env["outcome"][key] == expected
+        assert env["command"] == ["hck"] + argv
+
+
 class TestOverflow:
     """Finite inputs whose arithmetic overflows certify, or are refused with exit 2."""
+
+    # numpy warns as eval_map overflows, before the member reaches the
+    # finiteness check that this test is about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_member_overflows(self, tmp_path, capsys):
+        # F(1e10) = (1e300 * 1e20, 1e10): the member F(x) + e is infinite
+        path = write_problem(tmp_path, P=[1e300], Q=[1.0])
+        code, out, err = run(capsys, ["witness", path, "--xu", "1e10", "--xv", "1",
+                                      "--alpha", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
 
     @pytest.mark.parametrize("big", [1e308, 1.5e308])
     @pytest.mark.parametrize("args", [

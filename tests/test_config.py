@@ -27,6 +27,20 @@ def test_every_field_is_read(config):
     assert unread == []
 
 
+def test_every_tol_constant_is_read():
+    # a module-level threshold that no code path reads is a dead constant
+    package = Path(hckit.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    defined = {target.id for tree in trees for stmt in tree.body
+               if isinstance(stmt, ast.Assign) for target in stmt.targets
+               if isinstance(target, ast.Name) and target.id.endswith("_TOL")}
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    assert defined and sorted(defined - read) == []
+
+
 def test_no_shadow_knobs():
     # a per-call tol or search argument shadows the one ToleranceConfig
     shadows = [name for name in hckit.__all__

@@ -148,7 +148,7 @@ class TestFirstNegativeRayHit:
 
     def test_hit_always_exists(self):
         rng = np.random.default_rng(23)
-        step = hk.DEFAULT_TOLERANCES.root_tol
+        step = witness.ROOT_TOL
         for _ in range(300):
             conic, point_at, fmap = parabola_map(rng)
             cone = random_cone(rng)

@@ -5,7 +5,8 @@ import pytest
 
 import hckit as hk
 from hckit.errors import SlaterViolated
-from hckit.slemma import FEAS_TOL, SLACK, STRICT_MARGIN, Outcome, combine
+from hckit.slemma import (FEAS_TOL, LAMBDA_MAX, SLACK, STRICT_MARGIN, Outcome,
+                          _DualSearch, _Point, _segment_counterexample, combine)
 from gen import slater_instance
 from oracle import DimensionTooLarge, brute_force_oracle
 
@@ -113,6 +114,18 @@ class TestDecide:
             verdict = hk.decide(f, g, xs)
             assert verdict.outcome is Outcome.MULTIPLIER_FOUND, i
             assert dual_value(f, g, verdict.lam) >= -SLACK
+
+    # numpy warns as eval_map overflows, before the member reaches the
+    # finiteness check of cone_point that this test is about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_segment_member_overflow_is_undecided(self):
+        # kept points whose lines cross at -0.5 < b.f, so the segment's point at
+        # g = 0 goes to the witness, where F(a.x) = (1e300 * 1e20, ...) overflows
+        f, g = form1(1e300, 0, 0), form1(0, 1, 0)
+        state = _DualSearch(f, g, 0.0, LAMBDA_MAX,
+                            above=_Point(np.array([1e10]), -1.0, 1.0),
+                            below=_Point(np.array([0.0]), 0.0, -1.0))
+        assert _segment_counterexample(state, hk.DEFAULT_TOLERANCES) is None
 
     def test_multiplier_self_check(self):
         rng = np.random.default_rng(71)
