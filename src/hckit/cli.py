@@ -16,12 +16,15 @@ code  meaning
 7     convexity probe recorded failures (report still emitted)
 ====  =========================================================
 
-``HCK_LOG`` (quiet, info, trace) controls diagnostic verbosity on stderr.
+``main`` maps the library errors in ``ERROR_EXITS`` to codes 3 and 5, and
+any other library error to 2.  ``HCK_LOG`` (quiet, info, trace) controls
+diagnostic verbosity on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import quadmap, slemma, witness
 from .errors import (DegenerateLine, HckError, NumericalBreakdown,
-                     PreconditionViolated, ProblemFileError, SlaterViolated)
+                     ProblemFileError, SlaterViolated)
 from .problemio import (Problem, dump_envelope, load_problem, result_envelope,
                         _parse_tolerances)
 from .quadmap import LineImageKind
@@ -45,6 +48,9 @@ EXIT_BREAKDOWN = 4
 EXIT_SLATER = 5
 EXIT_UNDECIDED = 6
 EXIT_CONVEXITY = 7
+
+# library errors with an exit code of their own; any other HckError exits 2
+ERROR_EXITS = {DegenerateLine: EXIT_DEGENERATE, SlaterViolated: EXIT_SLATER}
 
 _log = logging.getLogger("hckit")
 
@@ -95,6 +101,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _mixing_weight(text: str) -> float:
+    """argparse type for ``--alpha``: a float strictly inside (0, 1)."""
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not strictly inside (0, 1)")
+    return value
+
+
 def _load(args) -> Problem:
     try:
         problem = load_problem(args.problem)
@@ -110,9 +124,7 @@ def _load(args) -> Problem:
             tol = _parse_tolerances(overrides, "tol-config")
         except (OSError, json.JSONDecodeError, ProblemFileError) as exc:
             raise _CliError(EXIT_VALIDATION, f"invalid --tol-config: {exc}")
-        problem = Problem(map=problem.map, cone=problem.cone,
-                          manifold=problem.manifold, tolerances=tol,
-                          digest=problem.digest)
+        problem = dataclasses.replace(problem, tolerances=tol)
     _log.info("loaded problem (n=%d, digest=%s%s)", problem.map.n,
               problem.digest[:12],
               ", manifold" if problem.manifold is not None else "")
@@ -120,27 +132,21 @@ def _load(args) -> Problem:
 
 
 def _emit(args, text: str):
+    text += "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _cmd_classify_line(args, argv) -> int:
-    problem = _load(args)
+# Each handler returns (exit code, outcome, trace or None); main writes the
+# outcome as an envelope, or as text lines when it is a list (sample).
+def _cmd_classify_line(args, problem: Problem):
     n = problem.map.n
     xbar = _parse_vector(args.xbar, n, "--xbar")
     ybar = _parse_vector(args.ybar, n, "--ybar")
-    start = time.perf_counter()
-    try:
-        img = quadmap.classify_line_image(problem.map, xbar, ybar)
-    except DegenerateLine as exc:
-        raise _CliError(EXIT_DEGENERATE, f"degenerate line: {exc}")
+    img = quadmap.classify_line_image(problem.map, xbar, ybar)
     payload: dict = {"kind": img.kind.value,
                      "coefficients": img.coeffs.as_array()}
     if img.kind is LineImageKind.POINT:
@@ -156,14 +162,10 @@ def _cmd_classify_line(args, argv) -> int:
                             "a0": img.conic.a0}
         payload["parameter_map"] = {"row": img.t_row, "slope": img.t_slope,
                                     "offset": img.t_offset}
-    env = result_envelope(argv, problem.digest, payload, problem.tolerances,
-                          time.perf_counter() - start)
-    _emit(args, dump_envelope(env))
-    return EXIT_OK
+    return EXIT_OK, payload, None
 
 
-def _cmd_witness(args, argv) -> int:
-    problem = _load(args)
+def _cmd_witness(args, problem: Problem):
     cfg = problem.tolerances
     fmap = problem.map
     cone = problem.cone
@@ -181,52 +183,38 @@ def _cmd_witness(args, argv) -> int:
             raise _CliError(EXIT_VALIDATION, f"invalid --verify-envelope: {exc}")
         cert = witness.WitnessCertificate(x_star, e_star, branch,
                                           witness.WitnessTrace())
-        start = time.perf_counter()
         ok = witness.verify_certificate(fmap, cone, w, cert, cfg)
-        env = result_envelope(argv, problem.digest,
-                              {"verification": "pass" if ok else "fail",
-                               "w": w, "x_star": x_star, "e_star": e_star},
-                              cfg, time.perf_counter() - start)
-        _emit(args, dump_envelope(env))
-        return EXIT_OK if ok else EXIT_BREAKDOWN
+        return (EXIT_OK if ok else EXIT_BREAKDOWN,
+                {"verification": "pass" if ok else "fail",
+                 "w": w, "x_star": x_star, "e_star": e_star}, None)
 
+    missing = [flag for flag, val in (("--xu", args.xu), ("--xv", args.xv),
+                                      ("--alpha", args.alpha)) if val is None]
+    if missing:
+        raise _CliError(EXIT_VALIDATION, f"witness requires {', '.join(missing)}")
     n = fmap.n
     xu = _parse_vector(args.xu, n, "--xu")
     xv = _parse_vector(args.xv, n, "--xv")
     e1 = _parse_vector(args.e1, 2, "--e1")
     e2 = _parse_vector(args.e2, 2, "--e2")
-    if not 0.0 < args.alpha < 1.0:
-        raise _CliError(EXIT_VALIDATION, "--alpha must lie strictly inside (0, 1)")
-    try:
-        pu = witness.cone_point(fmap, cone, xu, e1, cfg)
-        pv = witness.cone_point(fmap, cone, xv, e2, cfg)
-    except PreconditionViolated as exc:
-        raise _CliError(EXIT_VALIDATION, f"member rejected: {exc}")
+    pu = witness.cone_point(fmap, cone, xu, e1, cfg)
+    pv = witness.cone_point(fmap, cone, xv, e2, cfg)
     w = args.alpha * pu.value + (1.0 - args.alpha) * pv.value
-    start = time.perf_counter()
     try:
         cert = witness.witness_convex_combination(fmap, cone, pu, pv,
                                                   args.alpha, cfg)
     except NumericalBreakdown as exc:
         trace = exc.trace.as_dict() if exc.trace is not None else None
-        env = result_envelope(argv, problem.digest,
-                              {"error": "NumericalBreakdown", "message": str(exc),
-                               "w": w}, cfg, time.perf_counter() - start,
-                              trace=trace)
-        _emit(args, dump_envelope(env))
-        return EXIT_BREAKDOWN
+        return (EXIT_BREAKDOWN, {"error": "NumericalBreakdown",
+                                 "message": str(exc), "w": w}, trace)
     verified = witness.verify_certificate(fmap, cone, w, cert, cfg)
     _log.debug("witness branch=%s image=%s crossing=%s tau=%.17g",
                cert.branch.value, cert.trace.image_kind,
                cert.trace.ray_direction or "-", cert.trace.ray_t)
-    env = result_envelope(argv, problem.digest,
-                          {"x_star": cert.x_star, "e_star": cert.e_star,
-                           "branch": cert.branch.value, "w": w,
-                           "verified": bool(verified)},
-                          cfg, time.perf_counter() - start,
-                          trace=cert.trace.as_dict())
-    _emit(args, dump_envelope(env))
-    return EXIT_OK if verified else EXIT_BREAKDOWN
+    return (EXIT_OK if verified else EXIT_BREAKDOWN,
+            {"x_star": cert.x_star, "e_star": cert.e_star,
+             "branch": cert.branch.value, "w": w, "verified": bool(verified)},
+            cert.trace.as_dict())
 
 
 def _restricted(problem: Problem):
@@ -238,36 +226,30 @@ def _restricted(problem: Problem):
                      "manifold_dim": problem.manifold.dim}
 
 
-def _cmd_slemma(args, argv) -> int:
-    problem = _load(args)
-    cfg = problem.tolerances
+def _cmd_slemma(args, problem: Problem):
     fmap, note = _restricted(problem)
+    manifold = problem.manifold
     x_star = _parse_vector(args.x_star, problem.map.n, "--x-star")
-    if problem.manifold is not None:
-        x_star = problem.manifold.basis.T @ (x_star - problem.manifold.x0)
-    start = time.perf_counter()
-    try:
-        verdict = slemma.decide(fmap.f, fmap.g, x_star, cfg)
-    except SlaterViolated as exc:
-        raise _CliError(EXIT_SLATER, f"Slater check failed: {exc}")
+    if manifold is not None:
+        x_star = manifold.basis.T @ (x_star - manifold.x0)
+    verdict = slemma.decide(fmap.f, fmap.g, x_star, problem.tolerances)
+    # an unbounded probe's dual value is -inf, which JSON cannot hold
     payload: dict = {"outcome": verdict.outcome.value,
-                     "dual_curve": [[lam, val] for lam, val in verdict.diagnostics]}
+                     "dual_curve": [[lam, None if val == -math.inf else val]
+                                    for lam, val in verdict.diagnostics]}
     if note:
         payload["restriction"] = note
     if verdict.outcome is slemma.Outcome.MULTIPLIER_FOUND:
         payload["lambda"] = verdict.lam
     elif verdict.outcome is slemma.Outcome.COUNTEREXAMPLE_FOUND:
-        payload["x_witness"] = verdict.x_witness
-    env = result_envelope(argv, problem.digest, payload, cfg,
-                          time.perf_counter() - start)
-    _emit(args, dump_envelope(env))
+        x = verdict.x_witness
+        payload["x_witness"] = x if manifold is None else manifold.embed(x)
     if verdict.outcome is slemma.Outcome.UNDECIDED:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+        return EXIT_UNDECIDED, payload, None
+    return EXIT_OK, payload, None
 
 
-def _cmd_sample(args, argv) -> int:
-    problem = _load(args)
+def _cmd_sample(args, problem: Problem):
     if args.count < 1:
         raise _CliError(EXIT_VALIDATION, "--count must be at least 1")
     if args.box < 0.0:
@@ -282,17 +264,10 @@ def _cmd_sample(args, argv) -> int:
         lam, bet = rng.uniform(0.0, args.box, size=2)
         point = quadmap.eval_map(fmap, x) + lam * cone.b + bet * cone.c
         lines.append(f"{point[0]:.17g} {point[1]:.17g}")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, lines, None
 
 
-def _cmd_verify_convexity(args, argv) -> int:
-    problem = _load(args)
-    cfg = problem.tolerances
-    if args.trials < 1:
-        raise _CliError(EXIT_VALIDATION, "--trials must be at least 1")
-    if args.box <= 0.0:
-        raise _CliError(EXIT_VALIDATION, "--box must be positive")
+def _cmd_verify_convexity(args, problem: Problem):
     fmap, note = _restricted(problem)
     if args.rho is not None:
         if problem.manifold is None:
@@ -306,23 +281,14 @@ def _cmd_verify_convexity(args, argv) -> int:
             raise _CliError(EXIT_VALIDATION,
                             f"--rho {args.rho} exceeds validated bound {bound - 1e-6:.6g}")
         fmap = quadmap.QuadraticMap(fmap.f.shifted(-args.rho), fmap.g)
-    start = time.perf_counter()
     report = witness.convexity_probe(fmap, problem.cone, args.trials,
-                                     args.seed, args.box, cfg)
-    payload = {"summary": report.summary, "trials": report.trials,
-               "failures": [{"trial": fl.trial, "u": fl.u, "v": fl.v,
-                             "alpha": fl.alpha, "diagnostic": fl.diagnostic}
-                            for fl in report.failures],
-               "max_residual": report.max_residual,
-               "branch_counts": report.branch_counts}
+                                     args.seed, args.box, problem.tolerances)
+    payload = dataclasses.asdict(report)
     if note:
         payload["restriction"] = note
     if args.rho is not None:
         payload["rho"] = args.rho
-    env = result_envelope(argv, problem.digest, payload, cfg,
-                          time.perf_counter() - start)
-    _emit(args, dump_envelope(env))
-    return EXIT_OK if report.consistent else EXIT_CONVEXITY
+    return EXIT_OK if report.consistent else EXIT_CONVEXITY, payload, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", default="0 0", help="cone element of the first member")
     p.add_argument("--xv", help="preimage of the second member")
     p.add_argument("--e2", default="0 0", help="cone element of the second member")
-    p.add_argument("--alpha", type=_finite_float, default=None,
+    p.add_argument("--alpha", type=_mixing_weight, default=None,
                    help="mixing weight in (0,1)")
     p.add_argument("--verify-envelope", default=None,
                    help="re-verify a previously emitted witness envelope")
@@ -403,20 +369,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    if args.command == "witness" and not args.verify_envelope:
-        missing = [flag for flag, val in (("--xu", args.xu), ("--xv", args.xv),
-                                          ("--alpha", args.alpha)) if val is None]
-        if missing:
-            sys.stderr.write(f"error: witness requires {', '.join(missing)}\n")
-            return EXIT_VALIDATION
     try:
-        return args.handler(args, ["hck"] + argv)
+        problem = _load(args)
+        start = time.perf_counter()
+        code, outcome, trace = args.handler(args, problem)
+        elapsed = time.perf_counter() - start
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
     except HckError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_VALIDATION
+        return ERROR_EXITS.get(type(exc), EXIT_VALIDATION)
+    if isinstance(outcome, list):   # sample's text lines
+        text = "\n".join(outcome)
+    else:
+        text = dump_envelope(result_envelope(["hck"] + argv, problem.digest,
+                                             outcome, problem.tolerances,
+                                             elapsed, trace=trace))
+    _emit(args, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,10 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 import hckit
 from hckit import cli
 from hckit.problemio import parse_problem
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas"
+                     / "envelope-v1.json").read_text())
+ENVELOPE = Draft202012Validator(SCHEMA)
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -27,8 +32,17 @@ def write_problem(tmp_path, name="problem.json", **overrides):
 
 
 def run(capsys, args):
+    """``cli.main`` on ``args``; every envelope it writes, to stdout or to
+    ``--out``, must validate against the envelope schema."""
     code = cli.main(args)
     out = capsys.readouterr()
+    if args[0] != "sample":
+        texts = [out.out]
+        if "--out" in args:
+            target = Path(args[args.index("--out") + 1])
+            texts.append(target.read_text() if target.exists() else "")
+        for text in filter(None, texts):
+            ENVELOPE.validate(json.loads(text))
     return code, out.out, out.err
 
 
@@ -112,6 +126,13 @@ class TestWitness:
         assert code == 2
         assert "--alpha" in err
 
+    def test_missing_members_named(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        code, out, err = run(capsys, ["witness", path, "--xu", "1"])
+        assert code == 2
+        assert out == ""
+        assert "--xv" in err and "--alpha" in err
+
     def test_cone_element_validated(self, tmp_path, capsys):
         path = write_problem(tmp_path)
         code, _, err = run(capsys, [
@@ -184,6 +205,34 @@ class TestSLemma:
         assert "slater" in err.lower()
 
 
+    def test_unbounded_dual_is_null(self, tmp_path, capsys):
+        # f = -x^2, g = x^2 - 1: f + lam g is unbounded below for lam < 1, so
+        # the dual curve records probes with no finite value
+        path = write_problem(tmp_path, P=[-1.0], p=[0.0], p0=0.0,
+                             Q=[1.0], q=[0.0], q0=-1.0)
+        code, out, _ = run(capsys, ["slemma", path, "--x-star", "0"])
+        assert code == 0
+        curve = json.loads(out, parse_constant=_refuse_constant)["outcome"]["dual_curve"]
+        assert any(val is None for _, val in curve)
+
+    def test_counterexample_in_problem_coordinates(self, tmp_path, capsys):
+        # f = 0.5 - |x|^2, g = |x|^2 - 4 on {x1 + x2 = 1}: the search runs on
+        # the manifold's one coordinate, the answer is a point of the plane
+        path = write_problem(tmp_path, dimension=2,
+                             P=[-1.0, 0.0, 0.0, -1.0], p=[0.0, 0.0], p0=0.5,
+                             Q=[1.0, 0.0, 0.0, 1.0], q=[0.0, 0.0], q0=-4.0,
+                             manifold={"H": [[1.0, 1.0]], "d": [1.0]})
+        code, out, _ = run(capsys, ["slemma", path, "--x-star", "0.5 0.5"])
+        assert code == 0
+        outcome = json.loads(out)["outcome"]
+        assert outcome["outcome"] == "CounterexampleFound"
+        x = np.array(outcome["x_witness"])
+        assert x.shape == (2,)
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 - x @ x < 0.0
+        assert x @ x - 4.0 <= 1e-9
+
+
 class TestSample:
     def test_single_point_at_origin(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -244,6 +293,14 @@ class TestVerifyConvexity:
         code, _, _ = run(capsys, ["verify-convexity", path, "--trials", "0"])
         assert code == 2
 
+    def test_box_validation(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        code, out, err = run(capsys, ["verify-convexity", path, "--trials", "5",
+                                      "--box", "0"])
+        assert code == 2
+        assert out == ""
+        assert "box" in err
+
     def test_rho_requires_manifold(self, tmp_path, capsys):
         path = write_problem(tmp_path)
         code, _, err = run(capsys, ["verify-convexity", path, "--trials", "5",
@@ -275,6 +332,18 @@ class TestVerifyConvexity:
                                     "--rho", "1000"])
         assert code == 2
         assert "--rho" in err
+
+
+@pytest.mark.parametrize("overrides, args, code, error", [
+    ({}, ["classify-line", "--xbar", "1", "--ybar", "1"], 3, "DegenerateLine"),
+    ({"Q": [1.0], "q": [0.0]}, ["slemma", "--x-star", "3"], 5, "SlaterViolated"),
+])
+def test_library_error_exit(tmp_path, capsys, overrides, args, code, error):
+    # cli.ERROR_EXITS gives these two library errors their own exit codes
+    got, out, err = run(capsys, args[:1] + [write_problem(tmp_path, **overrides)]
+                        + args[1:])
+    assert (got, out) == (code, "")
+    assert f"error: {error}: " in err
 
 
 class TestProblemFiles:
@@ -572,3 +641,19 @@ def test_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr or "scipy was imported"
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("outcome", "branch", "Case2"),
+    ("outcome", "extra", 1.0),
+    ("trace", "residual", "0"),
+    ("tolerances", "det_tol", 1e-9),
+])
+def test_schema_rejects_a_changed_envelope(tmp_path, capsys, key, field, value):
+    # run() holds every envelope to the schema; the schema must tell a
+    # changed contract from the real one
+    _, out, _ = run(capsys, ["witness", write_problem(tmp_path), "--xu", "1",
+                             "--xv", "-1", "--alpha", "0.5"])
+    env = json.loads(out)
+    env[key][field] = value
+    assert not ENVELOPE.is_valid(env)
