@@ -16,7 +16,7 @@ from .quadmap import (AffineManifold, LineImage, LineImageKind, QuadraticForm,
                       QuadraticMap, classify_line_image, eval_map,
                       manifold_from_linear_system, restrict_to_manifold)
 from .slemma import Outcome, SLemmaVerdict, decide, dual_lower_bound, slater_check
-from .smallmat import EigenDecomp, MinResult, eigh, min_of_quadratic, symmetrize
+from .smallmat import MinResult, eigh, min_of_quadratic, symmetrize
 from .witness import (Branch, ConePoint, ConvexityReport, WitnessCertificate,
                       cone_point, convexity_probe, verify_certificate,
                       witness_convex_combination)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineManifold", "Branch", "Cone2", "ConeCoords", "ConePoint",
-    "Conic2", "ConvexityReport", "DEFAULT_TOLERANCES", "EigenDecomp",
-    "LineImage", "LineImageKind", "MinResult", "Outcome", "QuadraticForm",
+    "Conic2", "ConvexityReport", "DEFAULT_TOLERANCES", "LineImage",
+    "LineImageKind", "MinResult", "Outcome", "QuadraticForm",
     "QuadraticMap", "SLemmaVerdict", "ToleranceConfig", "WitnessCertificate",
     "classify_line_image", "cone_point", "contains", "convexity_probe",
     "coords", "decide", "dual_lower_bound", "eigh", "eval_map",

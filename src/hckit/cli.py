@@ -8,10 +8,10 @@ part of the public contract:
 code  meaning
 ====  =========================================================
 0     success
-2     validation failure (files, vectors, preconditions)
+2     validation failure (files, vectors, preconditions, --out)
 3     degenerate line (classify-line endpoints coincide)
 4     numerical breakdown while building/verifying a witness
-5     Slater point rejected
+5     Slater point rejected (or off the problem's manifold)
 6     decision procedure ran out of budget (Undecided)
 7     convexity probe recorded failures (report still emitted)
 ====  =========================================================
@@ -35,8 +35,9 @@ import time
 import numpy as np
 
 from . import quadmap, slemma, witness
-from .errors import (DegenerateLine, HckError, NumericalBreakdown,
-                     ProblemFileError, SlaterViolated)
+from .errors import (DegenerateLine, HckError, InternalNumerics,
+                     NumericalBreakdown, PreconditionViolated, ProblemFileError,
+                     SlaterViolated)
 from .problemio import (Problem, dump_envelope, load_problem, result_envelope,
                         _parse_tolerances)
 from .quadmap import LineImageKind
@@ -147,6 +148,10 @@ def _cmd_classify_line(args, problem: Problem):
     xbar = _parse_vector(args.xbar, n, "--xbar")
     ybar = _parse_vector(args.ybar, n, "--ybar")
     img = quadmap.classify_line_image(problem.map, xbar, ybar)
+    entries = (img.point, img.apex, img.ray_direction, img.line_point,
+               img.line_direction, img.t_slope, img.t_offset)
+    if not all(np.isfinite(v).all() for v in entries if v is not None):
+        raise InternalNumerics(f"the {img.kind.value} image has a non-finite payload entry")
     payload: dict = {"kind": img.kind.value,
                      "coefficients": img.coeffs.as_array()}
     if img.kind is LineImageKind.POINT:
@@ -231,7 +236,10 @@ def _cmd_slemma(args, problem: Problem):
     manifold = problem.manifold
     x_star = _parse_vector(args.x_star, problem.map.n, "--x-star")
     if manifold is not None:
-        x_star = manifold.basis.T @ (x_star - manifold.x0)
+        try:
+            x_star = manifold.coordinates(x_star, problem.tolerances)
+        except PreconditionViolated as exc:
+            raise SlaterViolated(f"--x-star: {exc}") from exc
     verdict = slemma.decide(fmap.f, fmap.g, x_star, problem.tolerances)
     # an unbounded probe's dual value is -inf, which JSON cannot hold
     payload: dict = {"outcome": verdict.outcome.value,
@@ -386,7 +394,11 @@ def main(argv: list[str] | None = None) -> int:
         text = dump_envelope(result_envelope(["hck"] + argv, problem.digest,
                                              outcome, problem.tolerances,
                                              elapsed, trace=trace))
-    _emit(args, text)
+    try:
+        _emit(args, text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write the output: {exc}\n")
+        return EXIT_VALIDATION
     return code
 
 

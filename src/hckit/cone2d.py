@@ -74,10 +74,28 @@ def coords(cone: Cone2, point) -> ConeCoords:
     return ConeCoords((p0 * c1 - p1 * c0) / cone.det, (b0 * p1 - b1 * p0) / cone.det)
 
 
+def _within(cone: Cone2, point, tol: float) -> bool:
+    """Membership with each coordinate's slack scaled by its Cramer numerator.
+
+    The coordinate on ``b`` may fall to ``-tol * (1 + |p| |c| / |det|)`` and
+    the one on ``c`` to ``-tol * (1 + |p| |b| / |det|)``: a long ``p`` may
+    leave the cone by an angle of about ``tol``, a short one by ``tol``
+    absolute.  A NaN, or an overflowing coordinate or slack, is outside.
+    """
+    p = np.asarray(point, dtype=float).reshape(2)
+    co = coords(cone, p)
+    p_norm = math.hypot(*p.tolist())
+    lam_floor = -tol * (1.0 + p_norm * (cone.c_norm / abs(cone.det)))
+    bet_floor = -tol * (1.0 + p_norm * (cone.b_norm / abs(cone.det)))
+    if not all(map(math.isfinite, (co.lam, co.bet, lam_floor, bet_floor))):
+        return False
+    return co.lam >= lam_floor and co.bet >= bet_floor
+
+
 def contains(cone: Cone2, point, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership test: both coordinates at least ``-cfg.cone_tol``."""
-    co = coords(cone, point)
-    return co.lam >= -cfg.cone_tol and co.bet >= -cfg.cone_tol
+    """Membership test at ``cfg.cone_tol``, scaled per coordinate (see
+    :func:`_within`, which the certificate verifier runs at ``cert_tol``)."""
+    return _within(cone, point, cfg.cone_tol)
 
 
 def sample(cone: Cone2, radius: float, rng_seed) -> np.ndarray:

@@ -23,6 +23,7 @@ from .cone2d import Cone2, positive_quadrant
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DegenerateCone, HckError, ProblemFileError
 from .quadmap import AffineManifold, QuadraticForm, QuadraticMap, manifold_from_linear_system
+from .smallmat import symmetrize
 
 SCHEMA_VERSION = "1"
 
@@ -71,16 +72,11 @@ def _parse_symmetric(raw, n: int, field: str) -> np.ndarray:
         _require(skew <= 1e-12 * (1.0 + float(np.max(np.abs(entries)))),
                  f"field '{field}' is asymmetric beyond 1e-12 (max skew {skew:.3e})",
                  field)
-        return 0.5 * (entries + entries.T)
+        return symmetrize(entries)
     if len(raw) == tri and tri != full:
-        vals = _as_floats(raw, tri, field)
         out = np.zeros((n, n))
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = vals[k]
-                out[j, i] = vals[k]
-                k += 1
+        i, j = np.triu_indices(n)
+        out[i, j] = out[j, i] = _as_floats(raw, tri, field)
         return out
     raise ProblemFileError(
         f"field '{field}' has length {len(raw)}; expected {full} (full) or {tri} (upper triangle)",
@@ -204,18 +200,6 @@ def load_problem(path: str) -> Problem:
         return parse_problem(fh.read())
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def result_envelope(command: list[str], digest: str, outcome: dict,
                     tolerances: ToleranceConfig, timing_seconds: float,
                     trace: dict | None = None) -> dict:
@@ -224,14 +208,21 @@ def result_envelope(command: list[str], digest: str, outcome: dict,
         "schema_version": SCHEMA_VERSION,
         "command": list(command),
         "input_digest": f"sha256:{digest}",
-        "outcome": _jsonable(outcome),
+        "outcome": outcome,
         "timing_seconds": timing_seconds,
-        "tolerances": _jsonable(dataclasses.asdict(tolerances)),
+        "tolerances": dataclasses.asdict(tolerances),
     }
     if trace is not None:
-        env["trace"] = _jsonable(trace)
+        env["trace"] = trace
     return env
 
 
+def _numpy_to_json(obj):
+    """``json.dumps`` hook: arrays as nested lists, numpy scalars as Python ones."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dump_envelope(env: dict) -> str:
-    return json.dumps(env, indent=2, allow_nan=True)
+    return json.dumps(env, indent=2, allow_nan=True, default=_numpy_to_json)

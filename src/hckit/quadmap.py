@@ -24,8 +24,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .conic2d import Conic2
 from .errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
-                     InternalNumerics)
-from .smallmat import _lapack
+                     InternalNumerics, PreconditionViolated)
+from .smallmat import _lapack, symmetrize
 
 DET_TOL = 1e-9      # |alpha*beta' - alpha'*beta| vs the two rows' sizes
 LINE_TOL = 1e-12    # endpoints equal => degenerate line
@@ -45,10 +45,7 @@ class QuadraticForm:
     constant: float
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got {mat.shape}")
-        mat = 0.5 * (mat + mat.T) if mat.size else mat.astype(float)
+        mat = symmetrize(self.matrix)
         lin = np.asarray(self.linear, dtype=float).reshape(-1).copy()
         if lin.shape[0] != mat.shape[0]:
             raise DimensionMismatch(
@@ -354,6 +351,27 @@ class AffineManifold:
         if zv.shape[0] != self.dim:
             raise DimensionMismatch(f"point has length {zv.shape[0]}, expected {self.dim}")
         return self.x0 + self.basis @ zv
+
+    def coordinates(self, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Coordinates ``z`` of a point ``x = x0 + K z`` of the manifold.
+
+        ``x`` must meet the manifold within the backward-error bound that
+        :func:`manifold_from_linear_system` applies to ``x0``: its distance
+        ``|x - x0 - K K^T (x - x0)|`` may be at most
+        ``cfg.rank_tol * (|x0| + |x|)``.  A point further off raises
+        :class:`PreconditionViolated`.
+        """
+        xv = np.asarray(x, dtype=float).reshape(-1)
+        if xv.shape[0] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"point has length {xv.shape[0]}, expected {self.ambient_dim}")
+        z = self.basis.T @ (xv - self.x0)
+        off = float(np.linalg.norm(xv - self.x0 - self.basis @ z))
+        bound = cfg.rank_tol * (float(np.linalg.norm(self.x0)) + float(np.linalg.norm(xv)))
+        if not off <= bound:
+            raise PreconditionViolated(
+                f"point is off the manifold (distance {off:.3e}, bound {bound:.3e})")
+        return z
 
 
 def restrict_to_manifold(fmap: QuadraticMap, manifold: AffineManifold) -> QuadraticMap:

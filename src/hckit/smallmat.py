@@ -45,30 +45,19 @@ def _lapack(routine, a: np.ndarray):
         raise InternalNumerics(f"{routine.__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` is sorted ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(matrix) -> EigenDecomp:
+def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
-    The input is symmetrized first, so mildly asymmetric storage is accepted.
-    Deterministic for identical input.  A non-finite entry or a LAPACK
-    failure raises :class:`InternalNumerics`.
+    Returns numpy's named tuple: ``eigenvalues`` sorted ascending and
+    ``eigenvectors`` holding the matching orthonormal eigenvectors as
+    columns.  The input is symmetrized first, so mildly asymmetric storage
+    is accepted.  Deterministic for identical input.  A non-finite entry or
+    a LAPACK failure raises :class:`InternalNumerics`.
     """
     a = symmetrize(matrix)
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    lam, vecs = _lapack(np.linalg.eigh, a)
-    return EigenDecomp(lam, vecs)
+    return _lapack(np.linalg.eigh, a)
 
 
 @dataclass(frozen=True)
@@ -100,9 +89,7 @@ def min_of_quadratic(matrix, linear, constant: float) -> MinResult:
     """
     m0 = float(constant)
     mvec = np.asarray(linear, dtype=float)
-    dec = eigh(matrix)
-    lam = dec.eigenvalues
-    vecs = dec.eigenvectors
+    lam, vecs = eigh(matrix)
     scale = 1.0 + float(np.max(np.abs(lam)))
     if lam[0] < -PSD_TOL * scale:
         return MinResult(bounded=False, direction=vecs[:, 0].copy())

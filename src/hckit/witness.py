@@ -261,11 +261,10 @@ def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
     """The residual ``max|F(x*) + e* - w|`` if the certificate holds, else None.
 
     It holds when ``F(x*) + e* = w`` to relative ``tol = cfg.cert_tol`` and
-    ``e*`` is in the cone, whose coordinates may fall below zero by
-    ``tol * (1 + |e*| |c| / |det|)`` (on b) and ``tol * (1 + |e*| |b| / |det|)``
-    (on c); see :func:`verify_certificate`.  Non-finite data fails: ``x*``,
-    ``w`` and ``F(x*) + e*`` are checked up front, each coordinate on its
-    own, and an overflowing slack or coordinate fails too.
+    ``e*`` is in the cone by the membership rule of :func:`cone2d.contains`
+    at ``tol``; see :func:`verify_certificate`.  Non-finite data fails:
+    ``x*``, ``w`` and ``F(x*) + e*`` are checked up front, each coordinate
+    on its own, and an overflowing slack or coordinate fails too.
     """
     if not np.isfinite(x_star).all():
         return None
@@ -281,14 +280,7 @@ def _holds(fmap: QuadraticMap, cone: cone2d.Cone2, w, x_star, e_star,
     residual = max(abs(v0 - w0), abs(v1 - w1))
     if not residual <= tol * _value_scale((w0, w1), (v0, v1), (e0, e1)):
         return None
-    co = cone2d.coords(cone, e)
-    # each coordinate gets the rounding of its own Cramer numerator
-    e_norm = math.hypot(e0, e1)
-    lam_floor = -tol * (1.0 + e_norm * (cone.c_norm / abs(cone.det)))
-    bet_floor = -tol * (1.0 + e_norm * (cone.b_norm / abs(cone.det)))
-    if not all(map(math.isfinite, (co.lam, co.bet, lam_floor, bet_floor))):
-        return None
-    return residual if co.lam >= lam_floor and co.bet >= bet_floor else None
+    return residual if cone2d._within(cone, e, tol) else None
 
 
 def verify_certificate(fmap: QuadraticMap, cone: cone2d.Cone2, w,

@@ -10,7 +10,8 @@ from jsonschema import Draft202012Validator
 
 import hckit
 from hckit import cli
-from hckit.problemio import parse_problem
+from hckit.problemio import dump_envelope, parse_problem, result_envelope
+from hckit.slemma import FEAS_TOL, STRICT_MARGIN
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas"
                      / "envelope-v1.json").read_text())
@@ -31,9 +32,22 @@ def write_problem(tmp_path, name="problem.json", **overrides):
     return str(path)
 
 
-def run(capsys, args):
+def circle_on_line(tmp_path):
+    """Problem file for f = 0.5 - |x|^2, g = |x|^2 - 4 on {x1 + x2 = 1}."""
+    return write_problem(tmp_path, dimension=2,
+                         P=[-1.0, 0.0, 0.0, -1.0], p=[0.0, 0.0], p0=0.5,
+                         Q=[1.0, 0.0, 0.0, 1.0], q=[0.0, 0.0], q0=-4.0,
+                         manifold={"H": [[1.0, 1.0]], "d": [1.0]})
+
+
+def _refuse_constant(name):
+    raise ValueError(f"envelope holds the non-finite number {name}")
+
+
+def run(capsys, args, non_finite=False):
     """``cli.main`` on ``args``; every envelope it writes, to stdout or to
-    ``--out``, must validate against the envelope schema."""
+    ``--out``, must validate against the envelope schema and, unless
+    ``non_finite`` is set, hold no ``NaN`` or ``Infinity``."""
     code = cli.main(args)
     out = capsys.readouterr()
     if args[0] != "sample":
@@ -42,7 +56,8 @@ def run(capsys, args):
             target = Path(args[args.index("--out") + 1])
             texts.append(target.read_text() if target.exists() else "")
         for text in filter(None, texts):
-            ENVELOPE.validate(json.loads(text))
+            ENVELOPE.validate(json.loads(
+                text, parse_constant=None if non_finite else _refuse_constant))
     return code, out.out, out.err
 
 
@@ -90,6 +105,44 @@ class TestClassifyLine:
                                     "--ybar", "1"])
         assert code == 2
         assert "--xbar" in err
+
+    @pytest.mark.parametrize("overrides", [
+        # a ray whose apex is at -inf
+        {"P": [1e297], "p": [1e305], "Q": [1e297], "q": [1e305]},
+        # a parabola whose parameter map has an infinite slope
+        {"P": [4e307], "p": [1.5e308], "Q": [4e307], "q": [-1.5e308]},
+    ])
+    def test_non_finite_payload(self, tmp_path, capsys, overrides):
+        path = write_problem(tmp_path, **overrides)
+        code, out, err = run(capsys, ["classify-line", path, "--xbar", "0", "--ybar", "1"])
+        assert code == 2
+        assert out == ""
+        assert "InternalNumerics" in err and "payload" in err
+
+    @pytest.mark.parametrize("args", [
+        ["witness", "--xu", "1", "--xv", "2", "--alpha", "0.3"],
+        ["verify-convexity", "--box", "1", "--trials", "20", "--seed", "1"],
+    ])
+    def test_infinite_apex_leaves_other_commands_alone(self, tmp_path, capsys, args):
+        # the ray's apex overflows, but the witness reads only the image's
+        # coefficients, which stay finite, as do F and the certificate
+        path = write_problem(tmp_path, P=[1e297], p=[1e305], Q=[1e297], q=[1e305])
+        code, out, _ = run(capsys, args[:1] + [path] + args[1:])
+        assert code == 0
+        outcome = json.loads(out)["outcome"]
+        if args[0] == "witness":
+            assert outcome["verified"] is True and outcome["branch"] == "RayOrLine"
+        else:
+            assert outcome["failures"] == [] and outcome["branch_counts"]["RayOrLine"] == 20
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["classify-line", path, "--xbar", "0", "--ybar", "1",
+                                      "--out", str(target)])
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("error: cannot write the output") and "x.json" in err
 
 
 class TestWitness:
@@ -141,6 +194,18 @@ class TestWitness:
         assert code == 2
         assert "cone" in err.lower()
 
+    def test_long_cone_element_on_an_edge(self, tmp_path, capsys):
+        # e1 is 1e7 * b as computed in floats; Cramer's rule puts its
+        # coordinate on c at about -5e-9, below an absolute slack of cone_tol
+        path = write_problem(tmp_path, Q=[-1.0], q=[1.0],
+                             cone={"b": [0.915, -0.403], "c": [0.973, -0.233]})
+        e1 = [1e7 * 0.915, 1e7 * -0.403]
+        assert e1 == [9150000.0, -4030000.0000000005]
+        code, out, _ = run(capsys, ["witness", path, "--xu", "0.3", "--xv", "2",
+                                    "--e1", json.dumps(e1), "--alpha", "0.5"])
+        assert code == 0
+        assert json.loads(out)["outcome"]["verified"] is True
+
     def test_envelope_reverification(self, tmp_path, capsys):
         path = write_problem(tmp_path)
         env_path = tmp_path / "witness.json"
@@ -172,8 +237,9 @@ class TestWitness:
         env_path.write_text(json.dumps({"outcome": {
             "x_star": [float("nan")], "e_star": [0.0, 0.0], "w": [5.0, 0.0],
             "branch": "ParabolaRayHit"}}))
+        # the envelope echoes the forged NaN
         code, out, _ = run(capsys, [
-            "witness", path, "--verify-envelope", str(env_path)])
+            "witness", path, "--verify-envelope", str(env_path)], non_finite=True)
         assert code == 4
         assert json.loads(out)["outcome"]["verification"] == "fail"
 
@@ -212,16 +278,13 @@ class TestSLemma:
                              Q=[1.0], q=[0.0], q0=-1.0)
         code, out, _ = run(capsys, ["slemma", path, "--x-star", "0"])
         assert code == 0
-        curve = json.loads(out, parse_constant=_refuse_constant)["outcome"]["dual_curve"]
+        curve = json.loads(out)["outcome"]["dual_curve"]
         assert any(val is None for _, val in curve)
 
     def test_counterexample_in_problem_coordinates(self, tmp_path, capsys):
-        # f = 0.5 - |x|^2, g = |x|^2 - 4 on {x1 + x2 = 1}: the search runs on
-        # the manifold's one coordinate, the answer is a point of the plane
-        path = write_problem(tmp_path, dimension=2,
-                             P=[-1.0, 0.0, 0.0, -1.0], p=[0.0, 0.0], p0=0.5,
-                             Q=[1.0, 0.0, 0.0, 1.0], q=[0.0, 0.0], q0=-4.0,
-                             manifold={"H": [[1.0, 1.0]], "d": [1.0]})
+        # the search runs on the manifold's one coordinate, the answer is a
+        # point of the plane
+        path = circle_on_line(tmp_path)
         code, out, _ = run(capsys, ["slemma", path, "--x-star", "0.5 0.5"])
         assert code == 0
         outcome = json.loads(out)["outcome"]
@@ -231,6 +294,60 @@ class TestSLemma:
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.5 - x @ x < 0.0
         assert x @ x - 4.0 <= 1e-9
+
+    @pytest.mark.parametrize("x_star", ["5 5", "0 0", "0.5 0.4999"])
+    def test_slater_point_off_the_manifold(self, tmp_path, capsys, x_star):
+        # g(5, 5) = 46 > 0, but its projection onto {x1 + x2 = 1} is
+        # (0.5, 0.5), where g < 0: the point itself must be on the manifold
+        path = circle_on_line(tmp_path)
+        code, out, err = run(capsys, ["slemma", path, "--x-star", x_star])
+        assert code == 5
+        assert out == ""
+        assert "SlaterViolated" in err and "manifold" in err
+
+    @pytest.mark.parametrize("x_star", ["0.3 0.7", "0.1 0.9", "1.5 -0.5"])
+    def test_slater_point_on_the_manifold(self, tmp_path, capsys, x_star):
+        # points of {x1 + x2 = 1} up to the rounding of their entries
+        path = circle_on_line(tmp_path)
+        code, out, _ = run(capsys, ["slemma", path, "--x-star", x_star])
+        assert code == 0
+        assert json.loads(out)["outcome"]["outcome"] == "CounterexampleFound"
+
+    def test_manifold_counterexamples_solve_the_ambient_problem(self, tmp_path, capsys):
+        # criterion 7's manifolds and forms, with g shifted to -0.5 at an
+        # ambient Slater point of the manifold: a counterexample is a point
+        # of R^n on the manifold with f < 0 and g <= 0
+        rng = np.random.default_rng(1717)
+        found = 0
+        for instance in range(40):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, n))
+            h = rng.uniform(-2, 2, (m, n))
+            d = h @ rng.uniform(-2, 2, n)
+            manifold = hckit.manifold_from_linear_system(h, d)
+            grow = rng.uniform(-1.5, 1.5, (n, n))
+            f = hckit.QuadraticForm(grow.T @ grow + 0.1 * np.eye(n),
+                                    rng.uniform(-2, 2, n), rng.uniform(-2, 2))
+            g = hckit.QuadraticForm(rng.uniform(-2, 2, (n, n)), rng.uniform(-2, 2, n), 0.0)
+            x_star = manifold.embed(rng.uniform(-2, 2, manifold.dim))
+            g = g.shifted(-g(x_star) - 0.5)
+            path = write_problem(tmp_path, dimension=n,
+                                 P=f.matrix.ravel().tolist(), p=f.linear.tolist(),
+                                 p0=f.constant, Q=g.matrix.ravel().tolist(),
+                                 q=g.linear.tolist(), q0=g.constant,
+                                 manifold={"H": h.tolist(), "d": d.tolist()})
+            code, out, _ = run(capsys, ["slemma", path, "--x-star",
+                                        json.dumps(x_star.tolist())])
+            assert code in (0, 6), instance
+            outcome = json.loads(out)["outcome"]
+            if outcome["outcome"] != "CounterexampleFound":
+                continue
+            found += 1
+            x = np.array(outcome["x_witness"])
+            assert x.shape == (n,)
+            assert np.linalg.norm(h @ x - d) <= 1e-9 * (1 + np.linalg.norm(d)), instance
+            assert f(x) < -STRICT_MARGIN and g(x) <= FEAS_TOL, instance
+        assert found >= 5
 
 
 class TestSample:
@@ -366,6 +483,13 @@ class TestProblemFiles:
             "P": [1.0, 2.0, 3.0], "p": [0.0, 0.0], "p0": 0.0,
             "Q": [0.0, 0.0, 0.0, 0.0], "q": [1.0, 0.0], "q0": 0.0}))
         np.testing.assert_allclose(problem.map.f.matrix, [[1.0, 2.0], [2.0, 3.0]])
+        # row by row: (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
+        problem = parse_problem(json.dumps({
+            "schema_version": "1", "dimension": 3,
+            "P": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "p": [0.0] * 3, "p0": 0.0,
+            "Q": [0.0] * 6, "q": [1.0, 0.0, 0.0], "q0": 0.0}))
+        np.testing.assert_array_equal(problem.map.f.matrix,
+                                      [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
 
     def test_dependent_cone_rejected(self):
         with pytest.raises(Exception) as err:
@@ -583,7 +707,7 @@ class TestOverflow:
         code, out, _ = run(capsys, ["verify-convexity", path, "--trials", "5",
                                     "--box", "1e100"])
         assert code == 0
-        json.loads(out, parse_constant=_refuse_constant)
+        json.loads(out)
 
     # numpy warns as the products inside QuadraticForm.along overflow, before
     # the coefficients reach the finiteness check that this test is about
@@ -608,12 +732,12 @@ class TestOverflow:
         code, out, _ = run(capsys, ["witness", path, "--xu", "1", "--xv", "2",
                                     "--alpha", "0.3"])
         assert code == 0
-        outcome = json.loads(out, parse_constant=_refuse_constant)["outcome"]
+        outcome = json.loads(out)["outcome"]
         assert outcome["branch"] == "RayOrLine" and outcome["verified"] is True
         assert 1.0 <= outcome["x_star"][0] <= 2.0
         code, out, _ = run(capsys, ["classify-line", path, "--xbar", "1", "--ybar", "2"])
         assert code == 0
-        assert json.loads(out, parse_constant=_refuse_constant)["outcome"]["kind"] == "Ray"
+        assert json.loads(out)["outcome"]["kind"] == "Ray"
 
     def test_parabola_slope_underflow(self, tmp_path, capsys):
         # the parameter map's slope is about 1e-300, so its square underflows
@@ -627,10 +751,6 @@ class TestOverflow:
         assert code == 2
         assert out == ""
         assert "InternalNumerics" in err
-
-
-def _refuse_constant(name):
-    raise ValueError(f"envelope holds the non-finite number {name}")
 
 
 def test_import_leaves_scipy_out():
@@ -657,3 +777,61 @@ def test_schema_rejects_a_changed_envelope(tmp_path, capsys, key, field, value):
     env = json.loads(out)
     env[key][field] = value
     assert not ENVELOPE.is_valid(env)
+
+
+NUMPY_ENVELOPE = """\
+{
+  "schema_version": "1",
+  "command": [
+    "hck",
+    "witness"
+  ],
+  "input_digest": "sha256:00000000",
+  "outcome": {
+    "x": [
+      [
+        1.0,
+        -0.5
+      ]
+    ],
+    "f64": 0.1,
+    "i64": 3,
+    "pair": [
+      1,
+      2.5
+    ],
+    "nested": [
+      [
+        [
+          4,
+          5
+        ]
+      ],
+      {
+        "f32": 0.10000000149011612
+      }
+    ]
+  },
+  "timing_seconds": 0.25,
+  "tolerances": {
+    "rank_tol": 1e-10,
+    "cone_tol": 1e-09,
+    "cert_tol": 1e-06
+  },
+  "trace": {
+    "t": [
+      -Infinity
+    ]
+  }
+}"""
+
+
+def test_envelope_text_of_numpy_values():
+    # arrays and numpy scalars are converted as json meets them; the text of
+    # a fixed envelope is pinned byte for byte
+    outcome = {"x": np.array([[1.0, -0.5]]), "f64": np.float64(0.1), "i64": np.int64(3),
+               "pair": (np.int64(1), 2.5),
+               "nested": [[np.array([4, 5])], {"f32": np.float32(0.1)}]}
+    env = result_envelope(["hck", "witness"], "0" * 8, outcome, hckit.DEFAULT_TOLERANCES,
+                          0.25, trace={"t": (np.float64(-np.inf),)})
+    assert dump_envelope(env) == NUMPY_ENVELOPE

@@ -65,6 +65,52 @@ class TestContains:
             assert hk.contains(k, p + q)
 
 
+    def test_accepts_long_generator_multiples(self):
+        # tau*b and tau*c up to tau = 1e10 in cones 0.06 to 30 degrees wide:
+        # Cramer's rule puts the other coordinate at about -eps*tau/angle,
+        # which an absolute slack of cone_tol refuses
+        fmap = hk.QuadraticMap(hk.QuadraticForm([[1.0]], [0.0], 0.0),
+                               hk.QuadraticForm([[0.0]], [1.0], 0.0))
+        rng = np.random.default_rng(29)
+        refused_absolute = 0
+        for _ in range(300):
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            ang = np.deg2rad(10.0 ** rng.uniform(np.log10(0.06), np.log10(30.0)))
+            k = hk.Cone2(rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)]),
+                         rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang),
+                                                           np.sin(th + ang)]))
+            for tau in np.geomspace(1e2, 1e10, 5):
+                for e in (tau * k.b, tau * k.c):
+                    co = hk.coords(k, e)
+                    refused_absolute += min(co.lam, co.bet) < -hk.DEFAULT_TOLERANCES.cone_tol
+                    assert hk.contains(k, e), (np.rad2deg(ang), tau)
+                    hk.cone_point(fmap, k, [0.0], e)
+        assert refused_absolute > 0
+
+    @pytest.mark.parametrize("reach", np.geomspace(1.0, 1e10, 6))
+    def test_refuses_forged_angle(self, reach):
+        # points 1e-6 rad outside b or c, of length reach; the generators
+        # are 1e-4, 1 or 100 times reach / sin(angle) long, so the slack of
+        # the coordinate a point leaves by runs from its scaled part (about
+        # cone_tol rad) to its absolute part (cone_tol): both refuse, and a
+        # floor 100 times looser accepts the long-generator points
+        rng = np.random.default_rng(62)     # the same cones at every reach
+        for angle in np.geomspace(0.06, 30.0, 5):
+            ang = np.deg2rad(angle)
+            for length in (1e-4, 1.0, 1e2):
+                th = rng.uniform(0.0, 2.0 * np.pi)
+                size = length * reach / np.sin(ang)
+                b = size * rng.uniform(0.5, 2.0) * np.array([np.cos(th), np.sin(th)])
+                c = size * rng.uniform(0.5, 2.0) * np.array([np.cos(th + ang),
+                                                             np.sin(th + ang)])
+                k = hk.Cone2(b, c)
+                for edge, turn in ((b, -1e-6), (c, 1e-6)):
+                    rot = np.array([[np.cos(turn), -np.sin(turn)],
+                                    [np.sin(turn), np.cos(turn)]])
+                    p = reach * (rot @ edge) / np.linalg.norm(edge)
+                    assert not hk.contains(k, p), (angle, length, turn)
+
+
 class TestSample:
     def test_membership_by_construction(self):
         k = hk.Cone2((2.0, 0.5), (-0.5, 1.0))

@@ -3,7 +3,7 @@ import pytest
 
 import hckit as hk
 from hckit.errors import (DegenerateLine, DimensionMismatch, InconsistentSystem,
-                          InternalNumerics)
+                          InternalNumerics, PreconditionViolated)
 from hckit.quadmap import LineImageKind
 from gen import random_form, random_map, rank_deficient_map
 from preimage import NotOnImage, preimage_on_line
@@ -384,6 +384,20 @@ class TestManifolds:
     def test_inconsistent_system(self):
         with pytest.raises(InconsistentSystem):
             hk.manifold_from_linear_system([[1.0, 1.0], [1.0, 1.0]], [0.0, 1.0])
+
+    def test_coordinates_of_points_on_the_manifold(self):
+        manifold = hk.manifold_from_linear_system([[1.0, 1.0]], [1.0])
+        rng = np.random.default_rng(17)
+        for z in rng.uniform(-1e6, 1e6, 50):
+            x = manifold.embed([z])
+            np.testing.assert_allclose(manifold.coordinates(x), [z], rtol=1e-12)
+        np.testing.assert_allclose(manifold.coordinates([0.5, 0.5]), [0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("x", [[5.0, 5.0], [0.0, 0.0], [0.5, 0.4999], [1e6, -1e6 + 1e-3]])
+    def test_coordinates_refuse_points_off_the_manifold(self, x):
+        manifold = hk.manifold_from_linear_system([[1.0, 1.0]], [1.0])
+        with pytest.raises(PreconditionViolated, match="off the manifold"):
+            manifold.coordinates(x)
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,16 @@ class TestEigh:
         dec = hk.eigh([[1.0, 2.0], [0.0, 1.0]])
         np.testing.assert_allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
 
+    def test_numpy_result(self):
+        # numpy's own named tuple, bit for bit what np.linalg.eigh returns
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        dec = hk.eigh(m)
+        ref = np.linalg.eigh(m)
+        assert type(dec) is type(ref)
+        lam, vecs = dec
+        np.testing.assert_array_equal(lam, ref.eigenvalues)
+        np.testing.assert_array_equal(vecs, ref.eigenvectors)
+
     def test_deterministic(self):
         m = np.random.default_rng(1).uniform(-1, 1, (5, 5))
         a = hk.eigh(m)
